@@ -3,7 +3,8 @@
 Precision matrices of lattice Gaussian Markov random fields are banded when
 nodes are numbered row-major, so LAPACK's banded Cholesky (``pbtrf``) gives
 exact factorization, log-determinants, solves, and sampling without any
-sparse-Cholesky dependency.  ``BorderedPrecision`` extends this to the joint
+sparse-Cholesky dependency.  Matrices are held in LAPACK lower-banded storage
+``ab[k, j] = A[j+k, j]``.  ``BorderedPrecision`` extends this to the joint
 precision of (field weights, regression coefficients): a banded block plus a
 small dense border, eliminated by Schur complement.
 """
@@ -11,28 +12,20 @@ small dense border, eliminated by Schur complement.
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, solve_banded
 
 from lgcpthin.errors import NotSpdError
 
 
-def banded_from_sparse(matrix: sp.spmatrix, bandwidth: int | None = None) -> np.ndarray:
-    """Extract LAPACK lower-banded storage ``ab[k, j] = A[j+k, j]``.
-
-    ``bandwidth`` is the largest sub-diagonal offset; inferred from the
-    sparsity pattern when omitted.
-    """
-    coo = matrix.tocoo()
-    if bandwidth is None:
-        bandwidth = int(np.max(np.abs(coo.row - coo.col), initial=0))
-    n = matrix.shape[0]
-    csc = matrix.tocsc()
-    ab = np.zeros((bandwidth + 1, n))
-    for k in range(bandwidth + 1):
-        diag = csc.diagonal(-k)
-        ab[k, : n - k] = diag
-    return ab
+def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for symmetric A in lower-banded storage; all-zero diagonals are skipped."""
+    n = ab.shape[1]
+    y = ab[0] * x
+    for k in np.flatnonzero(ab[1:].any(axis=1)) + 1:
+        d = ab[k, : n - k]
+        y[k:] += d * x[: n - k]
+        y[: n - k] += d * x[k:]
+    return y
 
 
 class BandedCholesky:
@@ -59,10 +52,6 @@ class BandedCholesky:
                 ab_u[w - s, s:] = self._cb[s, : self.n - s]
             self._lt_storage = ab_u
         return self._lt_storage
-
-    @classmethod
-    def from_sparse(cls, matrix: sp.spmatrix, bandwidth: int | None = None) -> "BandedCholesky":
-        return cls(banded_from_sparse(matrix, bandwidth))
 
     def logdet(self) -> float:
         """log det A = 2 sum(log diag L)."""
@@ -92,21 +81,16 @@ class BorderedPrecision:
     Schur complement ``S = Hbb - Hwb^T Hw^{-1} Hwb``.
     """
 
-    def __init__(self, hw: sp.spmatrix | None, hwb: np.ndarray, hbb: np.ndarray,
-                 bandwidth: int | None = None, hw_banded: np.ndarray | None = None):
-        """``hw`` may be omitted when ``hw_banded`` (lower-banded storage) is
-        given; the sparse form is then only needed for :meth:`matvec`."""
-        if hw is None and hw_banded is None:
-            raise ValueError("need hw or hw_banded")
-        self.n_field = hw.shape[0] if hw is not None else hw_banded.shape[1]
+    def __init__(self, hw: np.ndarray | None, hwb: np.ndarray, hbb: np.ndarray):
+        """``hw`` is the field block in lower-banded storage, or None when
+        there is no field."""
+        self.n_field = hw.shape[1] if hw is not None else 0
         self.n_coef = hbb.shape[0]
-        self._hw = hw.tocsr() if hw is not None else None
+        self._hw = hw
         self._hbb = np.asarray(hbb, dtype=float)
         self._hwb = np.asarray(hwb, dtype=float).reshape(self.n_field, self.n_coef)
         if self.n_field:
-            if hw_banded is None:
-                hw_banded = banded_from_sparse(hw, bandwidth)
-            self._chol_w = BandedCholesky(hw_banded)
+            self._chol_w = BandedCholesky(hw)
             self._w = (self._chol_w.solve(self._hwb) if self.n_coef
                        else np.zeros((self.n_field, 0)))
         else:
@@ -153,11 +137,9 @@ class BorderedPrecision:
         return np.vstack([xw, xb])
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H @ x without forming H densely (requires the sparse field block)."""
-        if self._hw is None and self.n_field:
-            raise ValueError("matvec needs the sparse field block")
+        """H @ x without forming H densely."""
         xw, xb = x[: self.n_field], x[self.n_field:]
-        top = (self._hw @ xw if self.n_field else xw) + self._hwb @ xb
+        top = (_banded_matvec(self._hw, xw) if self.n_field else xw) + self._hwb @ xb
         bottom = self._hwb.T @ xw + self._hbb @ xb
         return np.concatenate([top, bottom])
 

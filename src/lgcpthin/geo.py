@@ -98,27 +98,6 @@ class RasterGrid:
                 f"values shape {vals.shape} does not match grid ({self.grid.ny}, {self.grid.nx})")
         object.__setattr__(self, "values", vals)
 
-    # Convenience pass-throughs so a raster can stand in for its grid spec.
-    @property
-    def origin(self) -> tuple[float, float]:
-        return (self.grid.x0, self.grid.y0)
-
-    @property
-    def cell_size(self) -> float:
-        return self.grid.cell_size
-
-    @property
-    def nx(self) -> int:
-        return self.grid.nx
-
-    @property
-    def ny(self) -> int:
-        return self.grid.ny
-
-    @classmethod
-    def filled(cls, grid: Grid, value: float = 0.0) -> "RasterGrid":
-        return cls(grid, np.full((grid.ny, grid.nx), float(value)))
-
     def value_at(self, points: np.ndarray) -> np.ndarray:
         """Value of the cell containing each point (nearest-cell lookup)."""
         i, j = self.grid.cell_index(points)
@@ -139,14 +118,6 @@ class RasterGrid:
                 + wx * (1 - wy) * v[j0, i0 + 1]
                 + (1 - wx) * wy * v[j0 + 1, i0]
                 + wx * wy * v[j0 + 1, i0 + 1])
-
-    def crop(self, margin_cells: int) -> "RasterGrid":
-        """Drop ``margin_cells`` cells from every side."""
-        m = int(margin_cells)
-        g = self.grid
-        inner = Grid(g.x0 + m * g.cell_size, g.y0 + m * g.cell_size,
-                     g.cell_size, g.nx - 2 * m, g.ny - 2 * m)
-        return RasterGrid(inner, self.values[m:g.ny - m, m:g.nx - m], self.nodata)
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +336,10 @@ def read_esri_ascii(path) -> RasterGrid:
         raise ParseError(f"expected {ny} rows of {nx} values", path)
     grid = Grid(header["xllcorner"], header["yllcorner"], header["cellsize"], nx, ny)
     values = np.vstack(rows)[::-1]
+    if "nodata_value" in header:
+        n_nodata = int(np.count_nonzero(values == header["nodata_value"]))
+        if n_nodata:
+            raise ParseError(f"{n_nodata} NODATA cells; every cell needs a value", path)
     return RasterGrid(grid, values, header.get("nodata_value"))
 
 

@@ -1,11 +1,15 @@
-"""Matern Gaussian random fields on a regular grid with sparse precision.
+"""Matern Gaussian random fields on a regular grid.
 
 The field is parameterized by its marginal standard deviation ``sigma`` and
 practical range ``rho`` (smoothness fixed at 1).  On a lattice the field is
 represented as a Gaussian Markov random field whose precision discretizes
-(kappa^2 - Laplacian) applied twice, giving a 13-point stencil; Neumann
-boundary artifacts are controlled by building on an extended grid and
-cropping.
+(kappa^2 - Laplacian) applied twice, giving a 13-point stencil:
+``Q = (tau/h)^2 (kappa^2 h^2 I + G)^2`` with G the Neumann 5-point Laplacian
+(the alpha = 2 SPDE construction).  :class:`GmrfPrecision` is the one
+representation of that prior: products with Q by stencil passes, the
+log-determinant in closed form from the DCT-II eigenvalues of G, and banded
+storage only for Newton Hessians and sampling.  Neumann boundary artifacts
+are controlled by building on an extended grid and cropping.
 """
 
 from __future__ import annotations
@@ -17,8 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import k1
 
-from lgcpthin.cholesky import BandedCholesky, banded_from_sparse
-from lgcpthin.errors import NotSpdError
+from lgcpthin.cholesky import BandedCholesky
 from lgcpthin.geo import Grid
 
 NU = 1.0  # smoothness is fixed; the stencil below is specific to this value
@@ -153,58 +156,100 @@ def _stiffness(nx: int, ny: int) -> sp.csr_matrix:
     return (off + sp.diags(deg)).tocsr()
 
 
-class GmrfPrecision:
-    """Sparse SPD precision of the lattice field, with its Cholesky factor."""
+def _banded(matrix: sp.spmatrix, bandwidth: int) -> np.ndarray:
+    """LAPACK lower-banded storage ``ab[k, j] = A[j+k, j]`` of a sparse matrix."""
+    n = matrix.shape[0]
+    ab = np.zeros((bandwidth + 1, n))
+    for k in range(bandwidth + 1):
+        ab[k, : n - k] = matrix.diagonal(-k)
+    return ab
 
-    def __init__(self, grid: Grid, matrix: sp.csr_matrix, params: MaternParams):
-        self.grid = grid
-        self.matrix = matrix
+
+class GmrfPrecision:
+    """The lattice prior ``Q = (tau/h)^2 (kappa^2 h^2 I + G)^2`` at one (rho, sigma).
+
+    G is the Neumann 5-point Laplacian, diagonalized by the 2-D DCT-II, so
+    ``log det Q`` has a closed form and ``Q x`` is two stencil passes.  The
+    banded storage and its Cholesky factor are built only when asked for.
+    """
+
+    def __init__(self, ops: "_LatticeOperators", params: MaternParams):
+        h = ops.cell_size
+        self.shape = ops.shape  # (ny, nx)
+        self.n = math.prod(ops.shape)
         self.params = params
+        self.shift = (params.kappa * h) ** 2   # kappa^2 h^2
+        self.scale = (params.tau / h) ** 2     # (tau/h)^2
+        self._ops = ops
+        self._banded: np.ndarray | None = None
         self._chol: BandedCholesky | None = None
 
     @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
+    def banded(self) -> np.ndarray:
+        """Q in LAPACK lower-banded storage (bandwidth 2 nx)."""
+        if self._banded is None:
+            self._banded = self._ops.assemble_banded(self.params)
+        return self._banded
 
-    @property
-    def bandwidth(self) -> int:
-        return 2 * self.grid.nx
+    def _stencil(self, x: np.ndarray) -> np.ndarray:
+        """(kappa^2 h^2 I + G) x."""
+        v = x.reshape(self.shape)
+        out = self.shift * v
+        dx = v[:, 1:] - v[:, :-1]
+        out[:, :-1] -= dx
+        out[:, 1:] += dx
+        dy = v[1:] - v[:-1]
+        out[:-1] -= dy
+        out[1:] += dy
+        return out.ravel()
 
-    def chol(self) -> BandedCholesky:
-        if self._chol is None:
-            self._chol = BandedCholesky(banded_from_sparse(self.matrix, self.bandwidth))
-        return self._chol
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """Q x for a field vector x of length n."""
+        return self.scale * self._stencil(self._stencil(x))
 
     def logdet(self) -> float:
-        return self.chol().logdet()
+        """n log (tau/h)^2 + 2 sum log(kappa^2 h^2 + mu_ij); not finite when
+        the hypers leave Q numerically singular."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(self.n * np.log(self.scale)
+                         + 2.0 * np.sum(np.log(self.shift + self._ops.laplacian_eigenvalues)))
+
+    def chol(self) -> BandedCholesky:
+        """Banded Cholesky factor of Q, for sampling."""
+        if self._chol is None:
+            self._chol = BandedCholesky(self.banded)
+        return self._chol
 
 
 class _LatticeOperators:
-    """Cached stiffness pieces for one grid shape; precision assembly is a
-    three-term linear combination of these, kept both sparse and in banded
-    storage so repeated assembly costs only array arithmetic."""
+    """Everything about the prior that depends only on the grid shape.
+
+    The banded stiffness pieces make :meth:`assemble_banded` a three-term
+    linear combination; the Laplacian eigenvalues
+    ``mu_ij = (2 - 2 cos(pi i / nx)) + (2 - 2 cos(pi j / ny))`` give the
+    closed-form log-determinant.
+    """
 
     def __init__(self, grid: Grid):
         h = grid.cell_size
-        n = grid.n_cells
-        g = _stiffness(grid.nx, grid.ny)
-        self.identity = sp.identity(n, format="csr") * (h * h)  # lumped mass C
-        self.g = g
-        self.gg = (g @ g) / (h * h)  # G C^-1 G
-        self.bandwidth = 2 * grid.nx
-        from lgcpthin.cholesky import banded_from_sparse
+        nx, ny = grid.nx, grid.ny
+        g = _stiffness(nx, ny)
+        bandwidth = 2 * nx
+        self.shape = (ny, nx)
+        self.cell_size = h
+        # lumped mass C = h^2 I, stiffness G and G C^-1 G, in banded storage
+        self._ab_c = _banded(sp.identity(grid.n_cells, format="csr") * (h * h), bandwidth)
+        self._ab_g = _banded(g, bandwidth)
+        self._ab_gg = _banded((g @ g) / (h * h), bandwidth)
+        mu_x = 2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)
+        mu_y = 2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)
+        self.laplacian_eigenvalues = (mu_y[:, None] + mu_x[None, :]).ravel()
 
-        self._ab_c = banded_from_sparse(self.identity, self.bandwidth)
-        self._ab_g = banded_from_sparse(self.g, self.bandwidth)
-        self._ab_gg = banded_from_sparse(self.gg, self.bandwidth)
-
-    def assemble(self, params: MaternParams) -> sp.csr_matrix:
-        kappa, tau = params.kappa, params.tau
-        q = tau * tau * (kappa ** 4 * self.identity + 2.0 * kappa ** 2 * self.g + self.gg)
-        return q.tocsr()
+    def assemble(self, params: MaternParams) -> GmrfPrecision:
+        return GmrfPrecision(self, params)
 
     def assemble_banded(self, params: MaternParams) -> np.ndarray:
-        """Same precision in LAPACK lower-banded storage."""
+        """Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^-1 G) in lower-banded storage."""
         kappa, tau = params.kappa, params.tau
         t2 = tau * tau
         return t2 * (kappa ** 4 * self._ab_c + 2.0 * kappa ** 2 * self._ab_g + self._ab_gg)
@@ -227,14 +272,15 @@ def _operators(grid: Grid) -> _LatticeOperators:
 def build_precision(grid: Grid, params: MaternParams) -> GmrfPrecision:
     """Precision of the lattice Matern field on the given grid.
 
-    Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^-1 G) with C the lumped mass
-    matrix (cell areas) and G the 5-point stiffness matrix; tau is chosen so
-    the stationary marginal variance equals sigma^2.  Raises
-    :class:`NotSpdError` if the result cannot be factored.
+    Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^-1 G) with C = h^2 I the lumped
+    mass matrix (cell areas) and G the 5-point stiffness matrix, i.e.
+    Q = (tau/h)^2 (kappa^2 h^2 I + G)^2; tau is chosen so the stationary
+    marginal variance equals sigma^2.  Raises :class:`NotSpdError` if the
+    result cannot be factored.
     """
     if grid.nx < 4 or grid.ny < 4:
         raise ValueError("grid must have at least 4 nodes per dimension")
-    prec = GmrfPrecision(grid, _operators(grid).assemble(params), params)
+    prec = _operators(grid).assemble(params)
     prec.chol()  # fail fast if not SPD
     return prec
 
@@ -245,12 +291,8 @@ def sample_field(precision: GmrfPrecision, seed, size: int = 1) -> np.ndarray:
     ``seed`` may be an integer or a ``numpy.random.Generator``.
     """
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    try:
-        draws = precision.chol().sample(rng, size)
-    except NotSpdError:
-        raise
-    g = precision.grid
-    fields = draws.T.reshape(size, g.ny, g.nx)
+    draws = precision.chol().sample(rng, size)
+    fields = draws.T.reshape(size, *precision.shape)
     return fields[0] if size == 1 else fields
 
 

@@ -23,15 +23,14 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize
 from scipy.stats import norm
 
-from lgcpthin.cholesky import BandedCholesky, BorderedPrecision, banded_from_sparse
+from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.errors import FitError, NotSpdError
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork, distances_to_roads, distance_raster
-from lgcpthin.grf import MaternParams, PcPriorSpec, _operators, extension_margin, pc_prior_logdensity
+from lgcpthin.grf import GmrfPrecision, MaternParams, PcPriorSpec, _operators, extension_margin, pc_prior_logdensity
 from lgcpthin.pointprocess import IntegrationScheme
 
 __all__ = [
@@ -159,11 +158,11 @@ class _ModelContext:
 
         if spec.include_field:
             self.sel_idx = self._selection_indices()
-            self.a_obs = self._point_cell_matrix(pattern.points)
-            self._field_pull = self.a_obs.T @ np.ones(self.n_points)
+            self.obs_idx = self._point_cells(pattern.points)
+            self._field_pull = np.bincount(self.obs_idx, minlength=self.n_field).astype(float)
         else:
             self.sel_idx = None
-            self.a_obs = None
+            self.obs_idx = None
             self._field_pull = None
         self._coef_pull = self.x_points.sum(axis=0)
 
@@ -182,7 +181,7 @@ class _ModelContext:
         jj, ii = np.divmod(np.arange(self.n_cells), self.grid.nx)
         return (jj + m) * self.ext_grid.nx + (ii + m)
 
-    def _point_cell_matrix(self, points: np.ndarray) -> sp.csr_matrix:
+    def _point_cells(self, points: np.ndarray) -> np.ndarray:
         """Point -> containing domain cell, as extended-grid node indices.
 
         Matches the functional the integral term sees; only domain nodes are
@@ -191,10 +190,7 @@ class _ModelContext:
         """
         i, j = self.grid.cell_index(points)
         m = self.margin
-        cols = (j + m) * self.ext_grid.nx + (i + m)
-        n = points.shape[0]
-        return sp.csr_matrix((np.ones(n), (np.arange(n), cols)),
-                             shape=(n, self.ext_grid.n_cells))
+        return (j + m) * self.ext_grid.nx + (i + m)
 
     # -- linear predictor pieces -------------------------------------------
 
@@ -214,7 +210,7 @@ class _ModelContext:
         if self.spec.include_field:
             omega = u[: self.n_field]
             eta_n = eta_n + omega[self.sel_idx]
-            eta_p = eta_p + self.a_obs @ omega
+            eta_p = eta_p + omega[self.obs_idx]
         return eta_n, eta_p
 
     def eta_many(self, u: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
@@ -226,7 +222,7 @@ class _ModelContext:
         if self.spec.include_field:
             omega = u[: self.n_field, :]
             eta_n = eta_n + omega[self.sel_idx, :]
-            eta_p = eta_p + self.a_obs @ omega
+            eta_p = eta_p + omega[self.obs_idx, :]
         return eta_n, eta_p
 
     def loglik(self, u: np.ndarray, offsets) -> float:
@@ -246,15 +242,14 @@ class _ModelContext:
         grad_omega[self.sel_idx] -= lam  # sel_idx hits each field node at most once
         return np.concatenate([grad_omega, grad_beta])
 
-    def field_precision(self, log_rho: float, log_sigma: float) -> sp.csr_matrix:
+    def field_precision(self, log_rho: float, log_sigma: float) -> GmrfPrecision | None:
+        """The field prior at (rho, sigma); None for a model without a field."""
+        if not self.spec.include_field:
+            return None
         params = MaternParams(sigma=math.exp(log_sigma), rho=math.exp(log_rho))
         return self.ops.assemble(params)
 
-    def field_precision_banded(self, log_rho: float, log_sigma: float) -> np.ndarray:
-        params = MaternParams(sigma=math.exp(log_sigma), rho=math.exp(log_rho))
-        return self.ops.assemble_banded(params)
-
-    def prior_quad_and_grad(self, u, q_field):
+    def prior_quad_and_grad(self, u, prior: GmrfPrecision | None):
         """-1/2 u' Q u (field + coefficient blocks) and its gradient."""
         beta = u[self.n_field:]
         prec_b = self.spec.beta_prior.precision
@@ -262,35 +257,23 @@ class _ModelContext:
         grad_beta = -prec_b * beta
         if self.n_field:
             omega = u[: self.n_field]
-            q_omega = q_field @ omega
+            q_omega = prior.matvec(omega)
             val += -0.5 * float(omega @ q_omega)
             return val, np.concatenate([-q_omega, grad_beta])
         return val, grad_beta
 
-    def hessian(self, curvature: np.ndarray, q_field,
-                q_banded: np.ndarray | None = None,
-                sparse_block: bool = False) -> BorderedPrecision:
+    def hessian(self, curvature: np.ndarray, prior: GmrfPrecision | None) -> BorderedPrecision:
         """Negated Hessian of the penalized objective at Poisson weights
-        ``curvature = w_i exp(eta_i)``; SPD by construction.
-
-        When ``q_banded`` is supplied the banded field block is assembled by
-        array arithmetic only; ``sparse_block`` forces the sparse form (needed
-        when the result must support matvec, e.g. as an MCMC mass matrix).
-        """
+        ``curvature = w_i exp(eta_i)``; SPD by construction."""
         prec_b = self.spec.beta_prior.precision
         hbb = self.x_nodes.T @ (curvature[:, None] * self.x_nodes) + prec_b * np.eye(self.n_coef)
-        if not self.spec.include_field:
-            return BorderedPrecision(sp.csr_matrix((0, 0)), np.zeros((0, self.n_coef)), hbb)
+        if prior is None:
+            return BorderedPrecision(None, np.zeros((0, self.n_coef)), hbb)
         hwb = np.zeros((self.n_field, self.n_coef))
         hwb[self.sel_idx] = curvature[:, None] * self.x_nodes
-        if q_banded is not None and not sparse_block:
-            ab = q_banded.copy()
-            ab[0, self.sel_idx] += curvature
-            return BorderedPrecision(None, hwb, hbb, hw_banded=ab)
-        diag_add = np.zeros(self.n_field)
-        diag_add[self.sel_idx] = curvature
-        hw = (q_field + sp.diags(diag_add)).tocsr()
-        return BorderedPrecision(hw, hwb, hbb, bandwidth=2 * self.ext_grid.nx)
+        hw = prior.banded.copy()
+        hw[0, self.sel_idx] += curvature
+        return BorderedPrecision(hw, hwb, hbb)
 
     def hyper_log_prior(self, v: np.ndarray) -> float:
         """Prior density of the hyper vector, with log-scale Jacobians."""
@@ -342,8 +325,7 @@ class _ModelContext:
 # Inner Newton optimization and Laplace marginal
 # ---------------------------------------------------------------------------
 
-def _newton_mode(ctx: _ModelContext, q_field, offsets, u0: np.ndarray,
-                 q_banded: np.ndarray | None = None):
+def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision | None, offsets, u0: np.ndarray):
     """Maximize loglik + log prior over the latent vector.
 
     Returns (mode, hessian, curvature weights, objective). The objective must
@@ -352,7 +334,7 @@ def _newton_mode(ctx: _ModelContext, q_field, offsets, u0: np.ndarray,
     spec = ctx.spec
 
     def objective(u):
-        val, grad = ctx.prior_quad_and_grad(u, q_field)
+        val, grad = ctx.prior_quad_and_grad(u, prior)
         return ctx.loglik(u, offsets) + val, grad
 
     u = u0.copy()
@@ -367,7 +349,7 @@ def _newton_mode(ctx: _ModelContext, q_field, offsets, u0: np.ndarray,
         eta_n, _ = ctx.eta(u, offsets)
         with np.errstate(over="ignore"):
             curvature = ctx.scheme.weights * np.exp(np.minimum(eta_n, 500.0))
-        hess = ctx.hessian(curvature, q_field, q_banded)
+        hess = ctx.hessian(curvature, prior)
         step = hess.solve(grad)
         accepted = False
         t = 1.0
@@ -393,7 +375,7 @@ def _newton_mode(ctx: _ModelContext, q_field, offsets, u0: np.ndarray,
     eta_n, _ = ctx.eta(u, offsets)
     with np.errstate(over="ignore"):
         curvature = ctx.scheme.weights * np.exp(np.minimum(eta_n, 500.0))
-    hess = ctx.hessian(curvature, q_field, q_banded)
+    hess = ctx.hessian(curvature, prior)
     return u, hess, curvature, f_val
 
 
@@ -406,21 +388,21 @@ def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None):
     spec = ctx.spec
     if spec.include_field:
         try:
-            q_field = ctx.field_precision(v[0], v[1])
-            q_banded = ctx.field_precision_banded(v[0], v[1])
-            logdet_q = BandedCholesky(q_banded).logdet()
-        except (NotSpdError, ValueError, OverflowError):
+            prior = ctx.field_precision(v[0], v[1])
+        except (ValueError, OverflowError):
+            return None
+        logdet_q = prior.logdet()
+        if not math.isfinite(logdet_q):
             return None
     else:
-        q_field = sp.csr_matrix((0, 0))
-        q_banded = None
+        prior = None
         logdet_q = 0.0
     logdet_q += ctx.n_coef * math.log(spec.beta_prior.precision)
     zeta = ctx.zeta_of(v)
     offsets = ctx.offsets(zeta)
     u0 = warm if warm is not None else np.zeros(ctx.n_field + ctx.n_coef)
     try:
-        mode, hess, curvature, f_val = _newton_mode(ctx, q_field, offsets, u0, q_banded)
+        mode, hess, curvature, f_val = _newton_mode(ctx, prior, offsets, u0)
     except (FitError, NotSpdError):
         return None
     lm = f_val + 0.5 * logdet_q - 0.5 * hess.logdet() + ctx.hyper_log_prior(v)
@@ -720,11 +702,8 @@ class FitResult:
             if cnt == 0:
                 continue
             node = self.nodes[k]
-            if ctx.spec.include_field:
-                q_banded = ctx.field_precision_banded(node.log_rho, node.log_sigma)
-            else:
-                q_banded = None
-            hess = ctx.hessian(node.curvature_weights, None, q_banded)
+            hess = ctx.hessian(node.curvature_weights,
+                               ctx.field_precision(node.log_rho, node.log_sigma))
             blocks.append(node.mode[:, None] + hess.sample(rng, cnt))
             node_idx.extend([k] * cnt)
         u = np.hstack(blocks)
@@ -777,11 +756,8 @@ class FitResult:
         for k in range(data["weight"].size):
             mode = data["mode"][k]
             beta_mean = mode[ctx.n_field:]
-            if spec.include_field:
-                q_banded = ctx.field_precision_banded(data["log_rho"][k], data["log_sigma"][k])
-            else:
-                q_banded = None
-            hess = ctx.hessian(data["curvature"][k], None, q_banded)
+            hess = ctx.hessian(data["curvature"][k],
+                               ctx.field_precision(data["log_rho"][k], data["log_sigma"][k]))
             nodes.append(HyperNode(
                 log_rho=float(data["log_rho"][k]),
                 log_sigma=float(data["log_sigma"][k]),
@@ -814,8 +790,7 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     glm_ctx = _ModelContext(pattern, covariates, roads, glm_spec)
     start_zeta = ctx.zeta_of(ctx.hyper_start()) if spec.use_vse else 0.0
     glm_mode, _, _, _ = _newton_mode(
-        glm_ctx, sp.csr_matrix((0, 0)), glm_ctx.offsets(start_zeta),
-        np.zeros(glm_ctx.n_coef))
+        glm_ctx, None, glm_ctx.offsets(start_zeta), np.zeros(glm_ctx.n_coef))
     warm = {"u": np.concatenate([np.zeros(ctx.n_field), glm_mode])}
 
     cache: dict[tuple, dict] = {}
@@ -966,10 +941,14 @@ def gelman_rubin(chains: np.ndarray) -> float:
     return float(np.sqrt(var_hat / w))
 
 
-def _log_field_prior(ctx, omega, q_chol, q_field):
-    if ctx.n_field == 0:
+def _log_field_prior(omega, prior: GmrfPrecision | None) -> float:
+    """log N(omega; 0, Q^-1) up to the 2 pi factor; -inf where Q is singular."""
+    if prior is None:
         return 0.0
-    return 0.5 * q_chol.logdet() - 0.5 * float(omega @ (q_field @ omega))
+    logdet = prior.logdet()
+    if not math.isfinite(logdet):
+        return -math.inf
+    return 0.5 * logdet - 0.5 * float(omega @ prior.matvec(omega))
 
 
 def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
@@ -1000,11 +979,11 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     pre = _laplace_at(ctx, v0, None)
     if pre is None:
         raise FitError("could not build the MALA preconditioner")
-    if spec.include_field:
-        q0 = ctx.field_precision(v0[0], v0[1])
-    else:
-        q0 = sp.csr_matrix((0, 0))
-    mass0 = ctx.hessian(pre["curvature"], q0)
+
+    def field_prior(v_vec):
+        return ctx.field_precision(*v_vec[:2]) if spec.include_field else None
+
+    mass0 = ctx.hessian(pre["curvature"], field_prior(v0))
     mode0 = pre["mode"]
 
     cfg = chain_config
@@ -1026,23 +1005,15 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
         v = v0 + 0.1 * rng.standard_normal(dim_h) if dim_h else v0.copy()
         u = mode0 + 0.5 * mass.sample(rng, 1)[:, 0]
 
-        def field_pieces(v_vec):
-            if spec.include_field:
-                qf = ctx.field_precision(v_vec[0], v_vec[1])
-                qc = BandedCholesky(banded_from_sparse(qf, 2 * ctx.ext_grid.nx))
-            else:
-                qf, qc = sp.csr_matrix((0, 0)), None
-            return qf, qc
-
-        q_field, q_chol = field_pieces(v)
+        prior = field_prior(v)
         offsets = ctx.offsets(ctx.zeta_of(v))
 
         def log_post_latent(u_vec):
-            val, _ = ctx.prior_quad_and_grad(u_vec, q_field)
+            val, _ = ctx.prior_quad_and_grad(u_vec, prior)
             return ctx.loglik(u_vec, offsets) + val
 
         def grad_latent(u_vec):
-            _, g_prior = ctx.prior_quad_and_grad(u_vec, q_field)
+            _, g_prior = ctx.prior_quad_and_grad(u_vec, prior)
             return ctx.loglik_grad(u_vec, offsets) + g_prior
 
         lp = log_post_latent(u)
@@ -1077,23 +1048,23 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             if dim_h:
                 v_prop = v + delta * rng.standard_normal(dim_h)
                 try:
-                    q_field_p, q_chol_p = field_pieces(v_prop)
+                    prior_p = field_prior(v_prop)
                     offsets_p = ctx.offsets(ctx.zeta_of(v_prop))
                     omega = u[: ctx.n_field]
                     num = (ctx.loglik(u, offsets_p)
-                           + _log_field_prior(ctx, omega, q_chol_p, q_field_p)
+                           + _log_field_prior(omega, prior_p)
                            + ctx.hyper_log_prior(v_prop))
                     den = (ctx.loglik(u, offsets)
-                           + _log_field_prior(ctx, omega, q_chol, q_field)
+                           + _log_field_prior(omega, prior)
                            + ctx.hyper_log_prior(v))
                     log_alpha_h = num - den
-                except (NotSpdError, ValueError, OverflowError):
+                except (ValueError, OverflowError):
                     log_alpha_h = -np.inf
                 n_try_h += 1
                 accept_h = math.log(rng.uniform()) < log_alpha_h
                 if accept_h:
                     v = v_prop
-                    q_field, q_chol = q_field_p, q_chol_p
+                    prior = prior_p
                     offsets = offsets_p
                     lp = log_post_latent(u)
                     g = grad_latent(u)
@@ -1118,8 +1089,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             if cfg.adapt and it == cfg.n_burn // 2 and spec.include_field:
                 refreshed = _laplace_at(ctx, v, u)
                 if refreshed is not None:
-                    mass = ctx.hessian(refreshed["curvature"], q_field,
-                                       sparse_block=True)
+                    mass = ctx.hessian(refreshed["curvature"], prior)
 
             if it >= cfg.n_burn:
                 k = it - cfg.n_burn

@@ -72,13 +72,10 @@ def make_log_intensity(covariates: dict[str, RasterGrid], beta0: float,
 class ThinningConfig:
     """Half-normal thinning: keep probability exp(-zeta d^2 / 2).
 
-    ``zeta = 0`` encodes no thinning.  The distance raster supplies
-    cell-center distances where per-point exact distances are not wanted
-    (model fitting); thinning of simulated patterns uses exact distances.
+    ``zeta = 0`` encodes no thinning.
     """
 
     zeta: float
-    distance_raster: RasterGrid | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.zeta) or self.zeta < 0:

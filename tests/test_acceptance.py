@@ -156,6 +156,7 @@ class TestCriterion04LikelihoodApproximationOrder:
               f"shrink ratios per halving: {np.round(ratios, 2)} (need >= 3)")
 
 
+@pytest.mark.slow
 class TestCriterion05LaplaceVsMcmc:
     def test_beta_means_match_mcmc(self):
         n = 20
@@ -194,6 +195,7 @@ def bootstrap_set_fraction(rng, condition, n_sets=200):
     return hits / n_sets
 
 
+@pytest.mark.slow
 class TestCriterion06BiasReduction:
     def test_heavy_thinning_bias_pattern(self, study):
         naive = rows_of(study, HEAVY, "naive", "beta1")
@@ -221,6 +223,7 @@ class TestCriterion06BiasReduction:
               f"removal={removal:.2f}")
 
 
+@pytest.mark.slow
 class TestCriterion07CoverageDegradation:
     def test_coverage_pattern(self, study):
         cov = {}
@@ -236,6 +239,7 @@ class TestCriterion07CoverageDegradation:
               f"(drop {drop:.2f}, need >=0.3); vse at heavy {cov[(HEAVY, 'vse')]:.2f}")
 
 
+@pytest.mark.slow
 class TestCriterion08ModelSelection:
     def test_criteria_prefer_corrected_model(self, study):
         def pairs(s_idx):
@@ -269,6 +273,7 @@ class TestCriterion08ModelSelection:
               f"LPML {lpml_frac:.2f} (need >=0.7); zero-thinning agreement: {'; '.join(details)}")
 
 
+@pytest.mark.slow
 class TestCriterion09InformativePrior:
     def test_informative_prior_reduces_zeta_bias(self, study, informative_study):
         default_rows = rows_of(study, HEAVY, "vse", "zeta")
@@ -376,6 +381,7 @@ class TestCriterion12GradientCheck:
               worst < 1e-5, f"max relative error = {worst:.2e} (tol 1e-5)")
 
 
+@pytest.mark.slow
 class TestSupplementaryPredictions:
     def test_corrected_model_raises_intensity_in_remote_zones(self, study):
         """Under heavy thinning the corrected model predicts more intensity

@@ -230,6 +230,13 @@ class TestFileFormats:
         assert back.grid.congruent(g)
         np.testing.assert_array_equal(back.values, r.values)
 
+    def test_esri_ascii_nodata_rejected(self, tmp_path):
+        path = tmp_path / "holes.asc"
+        path.write_text("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                        "NODATA_value -9999\n1.0 -9999 2.0\n-9999 0.5 0.25\n")
+        with pytest.raises(ParseError, match="2 NODATA cells"):
+            geo.read_esri_ascii(path)
+
     def test_esri_ascii_bad_header(self, tmp_path):
         path = tmp_path / "bad.asc"
         path.write_text("ncols x\n")

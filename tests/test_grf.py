@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
-from lgcpthin.cholesky import BandedCholesky, banded_from_sparse
+from lgcpthin.cholesky import BandedCholesky
 from lgcpthin.geo import Grid
 from lgcpthin.grf import (
     MaternParams,
@@ -70,37 +72,49 @@ class TestMaternCov:
         assert params.kappa == pytest.approx(math.sqrt(8.0) / params.rho, rel=1e-15)
 
 
+def dense_from_banded(ab: np.ndarray) -> np.ndarray:
+    """Symmetric dense matrix from LAPACK lower-banded storage."""
+    n = ab.shape[1]
+    dense = np.diag(ab[0])
+    for k in range(1, ab.shape[0]):
+        dense += np.diag(ab[k, : n - k], -k) + np.diag(ab[k, : n - k], k)
+    return dense
+
+
+def dense_from_matvec(prec) -> np.ndarray:
+    return np.column_stack([prec.matvec(e) for e in np.eye(prec.n)])
+
+
 class TestBuildPrecision:
     def test_symmetry_and_sparsity(self):
         grid = Grid(0.0, 0.0, 1.0 / 16, 16, 16)
         prec = build_precision(grid, MaternParams(sigma=1.0, rho=0.3))
-        q = prec.matrix
-        asym = (q - q.T)
-        assert np.max(np.abs(asym.data)) if asym.nnz else 0.0 <= 1e-12
-        row_nnz = np.diff(q.tocsr().indptr)
+        q = dense_from_matvec(prec)
+        assert np.max(np.abs(q - q.T)) <= 1e-12
+        row_nnz = np.count_nonzero(dense_from_banded(prec.banded), axis=1)
         assert row_nnz.max() <= 13
 
     def test_cholesky_succeeds(self):
         grid = Grid(0.0, 0.0, 0.1, 12, 9)
         prec = build_precision(grid, MaternParams(sigma=0.5, rho=0.4))
         assert np.isfinite(prec.logdet())
+        assert np.isfinite(prec.chol().logdet())
 
     def test_deterministic_construction(self):
         grid = Grid(0.0, 0.0, 0.05, 20, 20)
         params = MaternParams(sigma=1.2, rho=0.25)
-        a = build_precision(grid, params).matrix
-        b = build_precision(grid, params).matrix
-        assert np.array_equal(a.indptr, b.indptr)
-        assert np.array_equal(a.indices, b.indices)
-        assert np.array_equal(a.data, b.data)
+        a = build_precision(grid, params)
+        b = build_precision(grid, params)
+        assert np.array_equal(a.banded, b.banded)
+        x = np.random.default_rng(0).normal(size=a.n)
+        assert np.array_equal(a.matvec(x), b.matvec(x))
+        assert a.logdet() == b.logdet()
 
     def test_white_noise_limit(self):
         # kappa large (rho tiny): off-diagonal mass vanishes relative to diagonal
         grid = Grid(0.0, 0.0, 1.0, 8, 8)
-        prec = build_precision(grid, MaternParams(sigma=1.0, rho=1e-3)).matrix.tocsr()
-        diag = prec.diagonal()
-        off = prec - __import__("scipy.sparse", fromlist=["diags"]).diags(diag)
-        ratio = np.max(np.abs(off.data)) / diag.min()
+        ab = build_precision(grid, MaternParams(sigma=1.0, rho=1e-3)).banded
+        ratio = np.max(np.abs(ab[1:])) / ab[0].min()
         assert ratio < 1e-4
 
     def test_small_grid_rejected(self):
@@ -124,6 +138,34 @@ class TestBuildPrecision:
             assert emp == pytest.approx(matern_cov(lag, params), abs=0.05 * params.sigma ** 2)
 
 
+lattice_priors = st.builds(
+    lambda nx, ny, rho_cells, sigma: build_precision(
+        Grid(0.0, 0.0, 0.5, nx, ny), MaternParams(sigma=sigma, rho=0.5 * rho_cells)),
+    nx=st.integers(4, 10), ny=st.integers(4, 10),
+    rho_cells=st.floats(0.5, 30.0), sigma=st.floats(0.05, 20.0))
+
+
+class TestClosedForm:
+    @settings(max_examples=60, deadline=None)
+    @given(prec=lattice_priors)
+    def test_logdet_matches_factorizations(self, prec):
+        dense = dense_from_banded(prec.banded)
+        sign, dense_logdet = np.linalg.slogdet(dense)
+        assert sign > 0
+        tol = 1e-10 * prec.n
+        assert prec.logdet() == pytest.approx(BandedCholesky(prec.banded).logdet(), abs=tol)
+        assert prec.logdet() == pytest.approx(dense_logdet, abs=tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(prec=lattice_priors, seed=st.integers(0, 2 ** 32 - 1))
+    def test_matvec_matches_dense(self, prec, seed):
+        dense = dense_from_banded(prec.banded)
+        x = np.random.default_rng(seed).normal(size=prec.n)
+        want = dense @ x
+        np.testing.assert_allclose(prec.matvec(x), want, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(dense)) * np.sum(np.abs(x)))
+
+
 class TestSampleField:
     def test_zero_mean_and_variance(self):
         grid = Grid(0.0, 0.0, 1.0 / 24, 24, 24)
@@ -145,8 +187,8 @@ class TestSampleField:
     def test_banded_cholesky_against_dense(self):
         grid = Grid(0.0, 0.0, 0.2, 6, 5)
         prec = build_precision(grid, MaternParams(sigma=1.0, rho=0.5))
-        dense = prec.matrix.toarray()
-        chol = BandedCholesky(banded_from_sparse(prec.matrix, prec.bandwidth))
+        dense = dense_from_banded(prec.banded)
+        chol = BandedCholesky(prec.banded)
         sign, logdet = np.linalg.slogdet(dense)
         assert sign > 0
         assert chol.logdet() == pytest.approx(logdet, rel=1e-12)

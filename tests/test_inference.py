@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork
@@ -98,7 +97,8 @@ class TestBorderedPrecision:
         hbb = np.eye(p) * 4.0 + 0.1 * np.ones((p, p))
         h_dense = np.block([[hw_dense, hwb], [hwb.T, hbb]])
         assert np.all(np.linalg.eigvalsh(h_dense) > 0)
-        bp = BorderedPrecision(sp.csr_matrix(hw_dense), hwb, hbb, bandwidth=4)
+        hw_banded = np.array([np.pad(np.diagonal(hw_dense, -k), (0, k)) for k in range(5)])
+        bp = BorderedPrecision(hw_banded, hwb, hbb)
         sign, logdet = np.linalg.slogdet(h_dense)
         assert bp.logdet() == pytest.approx(logdet, rel=1e-12)
         rhs = rng.normal(size=n + p)
