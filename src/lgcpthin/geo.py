@@ -4,6 +4,15 @@ Coordinates are assumed projected (planar Euclidean); the conventional unit
 throughout the package is kilometers.  Also provides the exploratory
 statistics used to diagnose accessibility bias: ECDFs, the two-sample
 Kolmogorov-Smirnov test, and Pearson correlation.
+
+Road distances are exact.  Each :class:`RoadNetwork` indexes itself once:
+every segment is cut into pieces no longer than the median segment length,
+and a KD-tree holds the piece midpoints.  A point's distance to its nearest
+midpoint bounds its road distance from above, so every segment that can be
+nearest has a piece within that bound plus half a piece length; only those
+candidate segments are measured, with the same per-pair arithmetic as a
+loop over all segments.  Memory is bounded by chunk size times candidates,
+not by the number of segments.
 """
 
 from __future__ import annotations
@@ -11,8 +20,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.special import kolmogorov
 
 from lgcpthin.errors import LgcpThinError, ParseError
@@ -63,8 +74,9 @@ class Grid:
     def cell_index(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(i, j) integer cell indices of points, clamped to the grid."""
         pts = np.atleast_2d(points)
-        i = np.clip(((pts[:, 0] - self.x0) / self.cell_size).astype(int), 0, self.nx - 1)
-        j = np.clip(((pts[:, 1] - self.y0) / self.cell_size).astype(int), 0, self.ny - 1)
+        # Clip before the integer cast: far points overflow the cast.
+        i = np.clip(np.floor((pts[:, 0] - self.x0) / self.cell_size), 0, self.nx - 1).astype(int)
+        j = np.clip(np.floor((pts[:, 1] - self.y0) / self.cell_size), 0, self.ny - 1).astype(int)
         return i, j
 
     def extended(self, margin_cells: int) -> "Grid":
@@ -109,8 +121,8 @@ class RasterGrid:
         g = self.grid
         fx = (pts[:, 0] - g.x0) / g.cell_size - 0.5
         fy = (pts[:, 1] - g.y0) / g.cell_size - 0.5
-        i0 = np.clip(np.floor(fx).astype(int), 0, g.nx - 2)
-        j0 = np.clip(np.floor(fy).astype(int), 0, g.ny - 2)
+        i0 = np.clip(np.floor(fx), 0, g.nx - 2).astype(int)
+        j0 = np.clip(np.floor(fy), 0, g.ny - 2).astype(int)
         wx = np.clip(fx - i0, 0.0, 1.0)
         wy = np.clip(fy - j0, 0.0, 1.0)
         v = self.values
@@ -125,11 +137,35 @@ class RasterGrid:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
+class _PieceIndex:
+    """KD-tree over segment pieces: see :func:`distances_to_roads`."""
+
+    tree: cKDTree       # piece midpoints
+    parent: np.ndarray  # segment id of each piece
+    reach: float        # half the longest piece
+
+    @classmethod
+    def build(cls, segs: np.ndarray) -> "_PieceIndex":
+        a = segs[:, 0:2]
+        d = segs[:, 2:4] - a
+        length = np.hypot(d[:, 0], d[:, 1])
+        positive = length[length > 0]
+        ell = float(np.median(positive)) if positive.size else 0.0
+        n_pieces = (np.maximum(np.ceil(length / ell), 1).astype(np.intp) if ell > 0
+                    else np.ones(len(segs), dtype=np.intp))
+        parent = np.repeat(np.arange(len(segs)), n_pieces)
+        k = np.arange(parent.size) - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
+        mids = a[parent] + ((k + 0.5) / n_pieces[parent])[:, None] * d[parent]
+        return cls(cKDTree(mids), parent, 0.5 * float(np.max(length / n_pieces)))
+
+
+@dataclass(frozen=True)
 class RoadNetwork:
     """Polyline network; each polyline is an (k, 2) vertex array, k >= 2."""
 
     polylines: tuple[np.ndarray, ...]
     _segments: np.ndarray = field(init=False, repr=False, compare=False)
+    _index: _PieceIndex = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.polylines:
@@ -145,6 +181,7 @@ class RoadNetwork:
         object.__setattr__(self, "polylines", tuple(lines))
         segs = np.vstack([np.hstack([arr[:-1], arr[1:]]) for arr in lines])
         object.__setattr__(self, "_segments", segs)
+        object.__setattr__(self, "_index", _PieceIndex.build(segs))
 
     @property
     def n_segments(self) -> int:
@@ -186,28 +223,51 @@ class PointPattern:
 # Distances
 # ---------------------------------------------------------------------------
 
-def distances_to_roads(points: np.ndarray, roads: RoadNetwork,
-                       chunk: int = 2048) -> np.ndarray:
-    """Exact minimum point-to-segment distance for each point.
+_CHUNK = 2048  # points per candidate search in distances_to_roads
 
-    Vectorized over (points x segments); chunked to bound memory.
+
+def distances_to_roads(points: np.ndarray, roads: RoadNetwork) -> np.ndarray:
+    """Exact minimum point-to-segment distance for each of (n, 2) points.
+
+    The road network's index cuts segments into pieces no longer than the
+    median segment length and holds the piece midpoints in a KD-tree.  For a
+    point p let d0 be its distance to the nearest midpoint.  Midpoints lie on
+    roads, so the road distance d is at most d0; the piece holding the
+    nearest foot point has its midpoint within d + (longest piece)/2 of p.
+    Every segment with a piece in that ball, widened by 1e-12 so that
+    segments tying within rounding stay in, is a candidate, and each
+    candidate is measured exactly: ``t = clip(((p - a) . d) / |d|^2, 0, 1)``,
+    the squared distance to ``a + t d``, then the minimum.  The result is
+    bitwise that of a loop over all segments.  Points go in chunks of
+    ``_CHUNK``, so memory grows with chunk size times candidates per point,
+    not with the number of segments.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"points must have shape (n, 2), got {pts.shape}")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point coordinates must be finite")
     segs = roads.segments()
     a = segs[:, 0:2]
     d = segs[:, 2:4] - a
     seg_len2 = np.maximum(np.einsum("ij,ij->i", d, d), 1e-300)
+    index = roads._index
     out = np.empty(pts.shape[0])
-    for start in range(0, pts.shape[0], chunk):
-        p = pts[start:start + chunk]
-        # t = clamp(((p - a) . d) / |d|^2, 0, 1), foot = a + t d
-        diff = p[:, None, :] - a[None, :, :]
-        t = np.clip(np.einsum("nmj,mj->nm", diff, d) / seg_len2, 0.0, 1.0)
-        foot = a[None, :, :] + t[:, :, None] * d[None, :, :]
-        dist2 = np.sum((p[:, None, :] - foot) ** 2, axis=2)
-        out[start:start + chunk] = np.sqrt(dist2.min(axis=1))
+    for start in range(0, pts.shape[0], _CHUNK):
+        p = pts[start:start + _CHUNK]
+        d0, _ = index.tree.query(p)
+        balls = index.tree.query_ball_point(p, (d0 + index.reach) * (1.0 + 1e-12))
+        counts = np.fromiter(map(len, balls), dtype=np.intp, count=len(balls))
+        pieces = np.fromiter(chain.from_iterable(balls), dtype=np.intp, count=counts.sum())
+        # A segment with several pieces in the ball is measured once per piece.
+        row = np.repeat(np.arange(p.shape[0]), counts)
+        seg = index.parent[pieces]
+        q, sa, sd = p[row], a[seg], d[seg]
+        t = np.clip(np.einsum("nj,nj->n", q - sa, sd) / seg_len2[seg], 0.0, 1.0)
+        r = q - (sa + t[:, None] * sd)
+        best = np.full(p.shape[0], np.inf)
+        np.minimum.at(best, row, np.einsum("nj,nj->n", r, r))
+        out[start:start + _CHUNK] = np.sqrt(best)
     return out
 
 

@@ -1,9 +1,13 @@
 """Geometry, distance, and exploratory-statistics tests."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from lgcpthin import geo
+from lgcpthin import geo, simstudy
 from lgcpthin.errors import ParseError
 from lgcpthin.geo import (
     Ecdf,
@@ -70,6 +74,92 @@ class TestDistanceToRoads:
         dq = distances_to_roads(q, simple_roads)
         gap = np.hypot(*(p - q).T)
         assert np.all(np.abs(dp - dq) <= gap + 1e-12)
+
+
+def loop_oracle(points, roads):
+    """Distance to the nearest segment, one segment at a time."""
+    best = np.full(points.shape[0], np.inf)
+    for x1, y1, x2, y2 in roads.segments():
+        dx, dy = x2 - x1, y2 - y1
+        len2 = dx * dx + dy * dy
+        if len2 > 0:
+            t = np.clip(((points[:, 0] - x1) * dx + (points[:, 1] - y1) * dy) / len2, 0.0, 1.0)
+        else:
+            t = 0.0
+        d2 = (points[:, 0] - (x1 + t * dx)) ** 2 + (points[:, 1] - (y1 + t * dy)) ** 2
+        best = np.minimum(best, d2)
+    return np.sqrt(best)
+
+
+# Coordinates on a quarter-unit lattice give exact ties and collinear
+# segments; general floats stay away from magnitudes whose squared segment
+# lengths would underflow.
+coords = st.one_of(
+    st.integers(-200, 200).map(lambda k: k / 4),
+    st.floats(-50.0, 50.0).filter(lambda v: v == 0.0 or abs(v) > 1e-6))
+vertex = st.tuples(coords, coords)
+
+
+@st.composite
+def road_networks(draw):
+    if draw(st.integers(0, 3)) == 0:  # a single segment
+        return RoadNetwork((np.array(draw(st.lists(vertex, min_size=2, max_size=2))),))
+    lines = []
+    for _ in range(draw(st.integers(1, 40))):
+        verts = draw(st.lists(vertex, min_size=2, max_size=6))
+        if draw(st.booleans()):  # zero-length segment: a repeated vertex
+            k = draw(st.integers(0, len(verts) - 1))
+            verts.insert(k, verts[k])
+        lines.append(np.array(verts, dtype=float))
+        if draw(st.integers(0, 4)) == 0:  # duplicated polyline
+            lines.append(lines[draw(st.integers(0, len(lines) - 1))].copy())
+    return RoadNetwork(tuple(lines))
+
+
+@st.composite
+def networks_and_points(draw):
+    roads = draw(road_networks())
+    segs = roads.segments()
+    n = len(segs)
+    k = st.integers(0, n - 1)
+    pts = [segs[draw(k), 0:2] for _ in range(draw(st.integers(0, 5)))]  # vertices
+    for _ in range(draw(st.integers(0, 5))):  # on segments
+        x1, y1, x2, y2 = segs[draw(k)]
+        u = draw(st.floats(0.0, 1.0))
+        pts.append([x1 + u * (x2 - x1), y1 + u * (y2 - y1)])
+    pts += draw(st.lists(vertex, max_size=10))  # around the network
+    far = st.floats(1e3, 1e7).flatmap(lambda v: st.sampled_from([v, -v]))
+    pts += draw(st.lists(st.tuples(far, st.one_of(far, coords)), max_size=4))
+    return roads, np.array(pts, dtype=float).reshape(-1, 2)
+
+
+class TestRoadDistanceIndex:
+    @settings(max_examples=300, deadline=None)
+    @given(case=networks_and_points())
+    def test_equals_segment_loop(self, case):
+        roads, pts = case
+        np.testing.assert_array_equal(distances_to_roads(pts, roads), loop_oracle(pts, roads))
+
+    def test_memory_bounded(self):
+        roads = simstudy.synthetic_roads(600.0, 5.0, 7)
+        assert roads.n_segments == 1920
+        pts = np.random.default_rng(5).uniform(0.0, 600.0, size=(10000, 2))
+        tracemalloc.start()
+        try:
+            distances_to_roads(pts, roads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2 ** 20
+
+    @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 1), (2, 2, 2)])
+    def test_rejects_points_not_n_by_2(self, simple_roads, shape):
+        with pytest.raises(ValueError, match="shape"):
+            distances_to_roads(np.zeros(shape), simple_roads)
+
+    def test_no_points(self, simple_roads):
+        out = distances_to_roads(np.empty((0, 2)), simple_roads)
+        assert out.shape == (0,)
 
 
 class TestDistanceRaster:
@@ -201,6 +291,24 @@ class TestGridRaster:
         r = RasterGrid(g, np.arange(12.0).reshape(3, 4))
         assert r.value_at(np.array([[1.3, 2.3]]))[0] == 0.0
         assert r.value_at(np.array([[2.9, 3.4]]))[0] == 11.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(x0=st.floats(-1e3, 1e3), y0=st.floats(-1e3, 1e3), h=st.floats(1e-3, 1e2),
+           nx=st.integers(1, 30), ny=st.integers(1, 30),
+           pts=st.lists(st.tuples(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300)),
+                        min_size=1, max_size=20))
+    def test_cell_index_clamps_to_edge_cells(self, x0, y0, h, nx, ny, pts):
+        g = Grid(x0, y0, h, nx, ny)
+        pts = np.array(pts)
+        i, j = g.cell_index(pts)
+        xmin, ymin, xmax, ymax = g.bbox
+        for idx, lo, hi, n, v in ((i, xmin, xmax, nx, pts[:, 0]), (j, ymin, ymax, ny, pts[:, 1])):
+            assert np.all((idx >= 0) & (idx <= n - 1))
+            assert np.all(idx[v < lo] == 0)
+            assert np.all(idx[v >= hi] == n - 1)
+        inside = g.cell_index(g.cell_centers())
+        np.testing.assert_array_equal(inside[0], np.tile(np.arange(nx), ny))
+        np.testing.assert_array_equal(inside[1], np.repeat(np.arange(ny), nx))
 
     def test_bilinear_reproduces_linear_surface(self):
         g = Grid(0.0, 0.0, 0.25, 9, 7)

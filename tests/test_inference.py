@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork
@@ -108,6 +110,52 @@ class TestBorderedPrecision:
         draws = bp.sample(np.random.default_rng(0), 40000)
         emp = np.cov(draws)
         np.testing.assert_allclose(emp, np.linalg.inv(h_dense), atol=0.02)
+
+
+class _RowFeed:
+    """Stands in for a Generator: hands out the rows of ``m`` in order."""
+
+    def __init__(self, m):
+        self.m, self.at = m, 0
+
+    def standard_normal(self, shape):
+        out = self.m[self.at:self.at + shape[0]]
+        self.at += shape[0]
+        assert out.shape == shape
+        return out
+
+
+class TestBorderedPrecisionIdentities:
+    """Solve, sampling and logdet of one random bordered precision agree."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(0, 25), p=st.integers(1, 4), bw=st.integers(0, 5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_solve_sample_logdet_agree(self, n, p, bw, seed):
+        rng = np.random.default_rng(seed)
+        bw = min(bw, max(n - 1, 0))
+        hw = None
+        if n:
+            hw = np.zeros((bw + 1, n))
+            hw[0] = 2.0 * bw + 1.0 + rng.uniform(0.5, 2.0, size=n)
+            for k in range(1, bw + 1):
+                hw[k, : n - k] = rng.uniform(-1.0, 1.0, size=n - k)
+        hwb = 0.3 * rng.normal(size=(n, p))
+        a = rng.normal(size=(p, p))
+        hbb = a @ a.T + (1.0 + np.sum(hwb ** 2)) * np.eye(p)
+        bp = BorderedPrecision(hw, hwb, hbb)
+        size = n + p
+        cov = bp.solve(np.eye(size))
+        # H^{-1} H x = x
+        x = rng.normal(size=size)
+        np.testing.assert_allclose(bp.solve(bp.matvec(x)), x, atol=1e-9)
+        # draws x = A z with z the unit vectors in some order: A A^T = H^{-1}
+        draws = bp.sample(_RowFeed(np.eye(size)), size)
+        np.testing.assert_allclose(draws @ draws.T, cov, atol=1e-10)
+        np.testing.assert_allclose(bp.coef_cov(), cov[n:, n:], atol=1e-10)
+        # log det H = -log det H^{-1} = -2 log |det A|
+        assert bp.logdet() == pytest.approx(-np.linalg.slogdet(cov)[1], abs=1e-8)
+        assert bp.logdet() == pytest.approx(-2.0 * np.linalg.slogdet(draws)[1], abs=1e-8)
 
 
 class TestHyperGrid:

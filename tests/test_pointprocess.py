@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lgcpthin.errors import LgcpThinError
 from lgcpthin.geo import (
@@ -159,6 +161,16 @@ class TestThin:
             removed.append(np.mean(fracs))
         assert removed[0] == 0.0
         assert all(a < b for a, b in zip(removed, removed[1:]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(zetas=st.lists(st.floats(0.0, 500.0), min_size=2, max_size=5),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_kept_set_monotone_in_zeta(self, zetas, seed):
+        roads = RoadNetwork((np.array([[0.0, 0.3], [1.0, 0.6]]), np.array([[0.4, 0.0], [0.5, 1.0]])))
+        pattern = PointPattern(np.random.default_rng(seed).uniform(size=(200, 2)), (0, 0, 1, 1))
+        kept = [{tuple(p) for p in thin(pattern, ThinningConfig(z), roads, seed).points}
+                for z in sorted(zetas)]
+        assert all(later <= earlier for earlier, later in zip(kept, kept[1:]))
 
     def test_thinned_distances_stochastically_closer(self, unit_roads):
         # the survivors' distance ECDF dominates the original one: thinning
