@@ -6,13 +6,17 @@ statistics used to diagnose accessibility bias: ECDFs, the two-sample
 Kolmogorov-Smirnov test, and Pearson correlation.
 
 Road distances are exact.  Each :class:`RoadNetwork` indexes itself once:
-every segment is cut into pieces no longer than the median segment length,
-and a KD-tree holds the piece midpoints.  A point's distance to its nearest
-midpoint bounds its road distance from above, so every segment that can be
-nearest has a piece within that bound plus half a piece length; only those
-candidate segments are measured, with the same per-pair arithmetic as a
-loop over all segments.  Memory is bounded by chunk size times candidates,
-not by the number of segments.
+every segment is cut into pieces no longer than the larger of the median and
+the mean segment length, so there are at most twice as many pieces as
+segments, and a KD-tree holds the piece midpoints.  A point's distance to its
+nearest midpoint bounds its road distance from above, so every segment that
+can be nearest has a piece within that bound plus half a piece length; only
+those candidate segments are measured, with the same per-pair arithmetic as
+a loop over all segments.  Cutting keeps the search narrow when segment
+lengths are skewed (a few long segments among many short ones), where the
+longest segment would otherwise set the search radius for every point.
+Memory is bounded by chunk size times candidates, not by the number of
+segments.
 """
 
 from __future__ import annotations
@@ -142,7 +146,7 @@ class _PieceIndex:
 
     tree: cKDTree       # piece midpoints
     parent: np.ndarray  # segment id of each piece
-    reach: float        # half the longest piece
+    reach: float        # half the longest piece, plus rounding slack
 
     @classmethod
     def build(cls, segs: np.ndarray) -> "_PieceIndex":
@@ -150,13 +154,16 @@ class _PieceIndex:
         d = segs[:, 2:4] - a
         length = np.hypot(d[:, 0], d[:, 1])
         positive = length[length > 0]
-        ell = float(np.median(positive)) if positive.size else 0.0
+        # At least the mean length: sum(ceil(length / ell)) <= 2 * len(segs).
+        ell = max(float(np.median(positive)), float(positive.mean())) if positive.size else 0.0
         n_pieces = (np.maximum(np.ceil(length / ell), 1).astype(np.intp) if ell > 0
                     else np.ones(len(segs), dtype=np.intp))
         parent = np.repeat(np.arange(len(segs)), n_pieces)
         k = np.arange(parent.size) - np.repeat(np.cumsum(n_pieces) - n_pieces, n_pieces)
         mids = a[parent] + ((k + 0.5) / n_pieces[parent])[:, None] * d[parent]
-        return cls(cKDTree(mids), parent, 0.5 * float(np.max(length / n_pieces)))
+        # Midpoints and foot points are rounded at the magnitude of the coordinates.
+        slack = 1e-12 * float(np.max(np.abs(segs)))
+        return cls(cKDTree(mids), parent, 0.5 * float(np.max(length / n_pieces)) + slack)
 
 
 @dataclass(frozen=True)
@@ -230,15 +237,17 @@ def distances_to_roads(points: np.ndarray, roads: RoadNetwork) -> np.ndarray:
     """Exact minimum point-to-segment distance for each of (n, 2) points.
 
     The road network's index cuts segments into pieces no longer than the
-    median segment length and holds the piece midpoints in a KD-tree.  For a
-    point p let d0 be its distance to the nearest midpoint.  Midpoints lie on
-    roads, so the road distance d is at most d0; the piece holding the
-    nearest foot point has its midpoint within d + (longest piece)/2 of p.
-    Every segment with a piece in that ball, widened by 1e-12 so that
-    segments tying within rounding stay in, is a candidate, and each
-    candidate is measured exactly: ``t = clip(((p - a) . d) / |d|^2, 0, 1)``,
-    the squared distance to ``a + t d``, then the minimum.  The result is
-    bitwise that of a loop over all segments.  Points go in chunks of
+    larger of the median and the mean segment length and holds the piece
+    midpoints in a KD-tree.  For a point p let d0 be its distance to the
+    nearest midpoint.  Midpoints lie on roads, so the road distance d is at
+    most d0; the piece holding the nearest foot point has its midpoint within
+    d + (longest piece)/2 of p.  Every segment with a piece in that ball is a
+    candidate.  The ball is widened by 1e-12 of its radius plus 1e-12 of the
+    largest coordinate magnitude, which exceeds the rounding in midpoints,
+    foot points and distances, so segments tying within rounding stay in.
+    Each candidate is measured exactly: ``t = clip(((p - a) . d) / |d|^2, 0,
+    1)``, the squared distance to ``a + t d``, then the minimum.  The result
+    is bitwise that of a loop over all segments.  Points go in chunks of
     ``_CHUNK``, so memory grows with chunk size times candidates per point,
     not with the number of segments.
     """

@@ -130,7 +130,31 @@ def networks_and_points(draw):
     pts += draw(st.lists(vertex, max_size=10))  # around the network
     far = st.floats(1e3, 1e7).flatmap(lambda v: st.sampled_from([v, -v]))
     pts += draw(st.lists(st.tuples(far, st.one_of(far, coords)), max_size=4))
-    return roads, np.array(pts, dtype=float).reshape(-1, 2)
+    pts = np.array(pts, dtype=float).reshape(-1, 2)
+    # Far from the origin, rounding in midpoints and foot points grows with
+    # the coordinates while the search radius does not.
+    offset = st.one_of(st.just(0.0), st.floats(1e3, 1e4))
+    shift = np.array(draw(st.tuples(offset, offset)))
+    if shift.any():
+        roads = RoadNetwork(tuple(line + shift for line in roads.polylines))
+        pts = pts + shift
+    return roads, pts
+
+
+def skewed_roads(seed, n_lines=60, n_steps=40, size=50.0):
+    """Winding polylines with log-normal segment lengths.
+
+    Median about 0.1, mean about 0.3, longest in the tens: a few long
+    segments among many short ones.
+    """
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n_lines):
+        heading = rng.uniform(0.0, 2 * np.pi) + np.cumsum(rng.normal(scale=0.3, size=n_steps))
+        step = rng.lognormal(np.log(0.1), 1.5, size=n_steps)
+        walk = np.cumsum(step[:, None] * np.column_stack([np.cos(heading), np.sin(heading)]), axis=0)
+        lines.append(rng.uniform(0.0, size, 2) + np.vstack([[0.0, 0.0], walk]))
+    return RoadNetwork(tuple(lines))
 
 
 class TestRoadDistanceIndex:
@@ -140,17 +164,59 @@ class TestRoadDistanceIndex:
         roads, pts = case
         np.testing.assert_array_equal(distances_to_roads(pts, roads), loop_oracle(pts, roads))
 
+    def test_kilometre_coordinates_far_from_origin(self):
+        # A projected position in km with 0.1 km segments: the nearest segment
+        # is the first, and a zero-length segment is farther by about 2e-13.
+        # Found by random search; a ball widened only relative to its radius
+        # drops the first segment.
+        roads = RoadNetwork((
+            np.array([[4447.089997519703, 6900.2189976648015],
+                      [4447.210676004562, 6900.117219747584]]),
+            np.array([[4447.225339276101, 6899.883936244435]] * 2),
+        ))
+        p = np.array([[4447.339894534238, 6900.008239320528]])
+        np.testing.assert_array_equal(distances_to_roads(p, roads), loop_oracle(p, roads))
+
     def test_memory_bounded(self):
-        roads = simstudy.synthetic_roads(600.0, 5.0, 7)
-        assert roads.n_segments == 1920
-        pts = np.random.default_rng(5).uniform(0.0, 600.0, size=(10000, 2))
         tracemalloc.start()
         try:
+            roads = simstudy.synthetic_roads(600.0, 5.0, 7)
+            pts = np.random.default_rng(5).uniform(0.0, 600.0, size=(10000, 2))
             distances_to_roads(pts, roads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert roads.n_segments == 1920
         assert peak < 64 * 2 ** 20
+
+    def test_memory_bounded_with_skewed_lengths(self):
+        # Without cutting, the longest segment (about 34) sets the search
+        # radius everywhere: about 550 candidates per point and a 200 MB peak.
+        tracemalloc.start()
+        try:
+            roads = skewed_roads(3)
+            pts = np.random.default_rng(5).uniform(-10.0, 60.0, size=(10000, 2))
+            got = distances_to_roads(pts, roads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
+        np.testing.assert_array_equal(got, loop_oracle(pts, roads))
+
+    @pytest.mark.parametrize("tiny", [1e-4, 1e-9])
+    def test_index_size_bounded_by_segments(self, tiny):
+        # Near-zero segments must not shrink the piece length: cut at the
+        # median alone, the long segment would become 100 / tiny pieces.
+        tracemalloc.start()
+        try:
+            roads = RoadNetwork((np.array([[0.0, 0.0], [tiny, 0.0], [tiny, tiny]]),
+                                 np.array([[0.0, 1.0], [100.0, 1.0]])))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        pts = np.array([[50.0, 0.0], [0.0, 0.0], [-1.0, 5.0], [100.0, 1.5]])
+        np.testing.assert_array_equal(distances_to_roads(pts, roads), loop_oracle(pts, roads))
 
     @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 1), (2, 2, 2)])
     def test_rejects_points_not_n_by_2(self, simple_roads, shape):
