@@ -326,7 +326,6 @@ def cmd_report(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="flat key = value config file; flags win")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", required=True, help="output directory")
 
 
@@ -411,6 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=20)
     p.add_argument("--domain-size", type=float, default=150.0)
     p.add_argument("--self-test", action="store_true")
+    p.add_argument("--threads", type=int, default=1, help="replicates run in parallel")
     _add_common(p)
     p.set_defaults(func=cmd_simstudy)
 

@@ -166,13 +166,17 @@ class _PieceIndex:
         return cls(cKDTree(mids), parent, 0.5 * float(np.max(length / n_pieces)) + slack)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoadNetwork:
-    """Polyline network; each polyline is an (k, 2) vertex array, k >= 2."""
+    """Polyline network; each polyline is an (k, 2) vertex array, k >= 2.
+
+    Networks compare and hash by identity: their arrays have no single truth
+    value to compare by.
+    """
 
     polylines: tuple[np.ndarray, ...]
-    _segments: np.ndarray = field(init=False, repr=False, compare=False)
-    _index: _PieceIndex = field(init=False, repr=False, compare=False)
+    _segments: np.ndarray = field(init=False, repr=False)
+    _index: _PieceIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.polylines:

@@ -9,7 +9,9 @@ extra hyperparameter.
 Inference is a nested Laplace approximation: for each node of a grid in
 hyperparameter space the joint mode of (field, coefficients) is found by
 Newton iterations, a Gaussian approximation is formed there, and nodes are
-weighted by their Laplace-approximated marginal likelihood.  Posterior
+weighted by their Laplace-approximated marginal likelihood.  Each evaluation
+is one :class:`HyperNode`; the fit keeps the grid nodes with positive weight.
+Models without a free hyperparameter have a single node.  Posterior
 marginals are Gaussian mixtures (coefficients) or interpolated grid
 marginals (hyperparameters).  A Metropolis-within-Gibbs sampler over the
 same posterior serves as a validation oracle on small instances.
@@ -67,10 +69,6 @@ class ModelSpec:
     zeta_fixed: float | None = None
     extension_factor: float = 1.5
     grid_points_per_dim: int = 5
-    grid_span_sd: float = 2.5
-    mode_search_max_evals: int = 200
-    newton_tol: float = 1e-6
-    max_newton_iter: int = 50
 
     def hyper_names(self) -> tuple[str, ...]:
         names: list[str] = []
@@ -83,21 +81,30 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class HyperNode:
-    """One hyperparameter-grid node with its Gaussian latent approximation."""
+    """One Laplace evaluation: a hyper vector and the Gaussian latent
+    approximation at it.
 
-    log_rho: float
-    log_sigma: float
-    theta: float  # nan when the model carries no free thinning rate
+    ``hyper`` is ordered as ``spec.hyper_names()`` (empty when the model has
+    no free hyperparameter); ``zeta`` is the thinning rate in force there: 0
+    for the naive model, ``zeta_fixed``, or exp(theta).  ``weight`` is the
+    node's normalized mixture weight in a fit (0 before normalization).
+    """
+
+    hyper: np.ndarray
+    zeta: float
     laplace_log_marginal: float
     weight: float
     mode: np.ndarray = field(repr=False)
     curvature_weights: np.ndarray = field(repr=False)  # Poisson weights at the mode
-    beta_mean: np.ndarray = field(repr=False)
     beta_cov: np.ndarray = field(repr=False)
 
     @property
-    def zeta(self) -> float:
-        return math.exp(self.theta) if np.isfinite(self.theta) else float("nan")
+    def beta_mean(self) -> np.ndarray:
+        return self.mode[self.mode.size - self.beta_cov.shape[0]:]
+
+
+_NEWTON_TOL = 1e-6  # Newton stops once max |gradient| falls below this
+_MAX_NEWTON_ITER = 50
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +249,14 @@ class _ModelContext:
         grad_omega[self.sel_idx] -= lam  # sel_idx hits each field node at most once
         return np.concatenate([grad_omega, grad_beta])
 
-    def field_precision(self, log_rho: float, log_sigma: float) -> GmrfPrecision | None:
-        """The field prior at (rho, sigma); None for a model without a field."""
-        if not self.spec.include_field:
-            return None
+    def field_precision(self, log_rho: float, log_sigma: float) -> GmrfPrecision:
+        """The field prior at (rho, sigma)."""
         params = MaternParams(sigma=math.exp(log_sigma), rho=math.exp(log_rho))
         return self.ops.assemble(params)
+
+    def prior_at(self, v: np.ndarray) -> GmrfPrecision | None:
+        """The field prior at hyper vector v; None for a model without a field."""
+        return self.field_precision(v[0], v[1]) if self.spec.include_field else None
 
     def prior_quad_and_grad(self, u, prior: GmrfPrecision | None):
         """-1/2 u' Q u (field + coefficient blocks) and its gradient."""
@@ -331,8 +340,6 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision | None, offsets, u0: n
     Returns (mode, hessian, curvature weights, objective). The objective must
     strictly increase on every accepted step (halving line search).
     """
-    spec = ctx.spec
-
     def objective(u):
         val, grad = ctx.prior_quad_and_grad(u, prior)
         return ctx.loglik(u, offsets) + val, grad
@@ -342,9 +349,9 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision | None, offsets, u0: n
     if not np.isfinite(f_val):
         u = np.zeros_like(u0)
         f_val, prior_grad = objective(u)
-    for _ in range(spec.max_newton_iter):
+    for _ in range(_MAX_NEWTON_ITER):
         grad = ctx.loglik_grad(u, offsets) + prior_grad
-        if np.max(np.abs(grad)) < spec.newton_tol:
+        if np.max(np.abs(grad)) < _NEWTON_TOL:
             break
         eta_n, _ = ctx.eta(u, offsets)
         with np.errstate(over="ignore"):
@@ -368,9 +375,9 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision | None, offsets, u0: n
             raise FitError("Newton line search failed to increase the objective")
     else:
         grad = ctx.loglik_grad(u, offsets) + prior_grad
-        if np.max(np.abs(grad)) >= spec.newton_tol * 100:
+        if np.max(np.abs(grad)) >= _NEWTON_TOL * 100:
             raise FitError(
-                f"Newton did not converge in {spec.max_newton_iter} iterations "
+                f"Newton did not converge in {_MAX_NEWTON_ITER} iterations "
                 f"(|grad|_max = {np.max(np.abs(grad)):.3e})")
     eta_n, _ = ctx.eta(u, offsets)
     with np.errstate(over="ignore"):
@@ -379,24 +386,20 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision | None, offsets, u0: n
     return u, hess, curvature, f_val
 
 
-def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None):
-    """Laplace log marginal and node data at hyper vector v.
+def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None) -> HyperNode | None:
+    """The Laplace evaluation at hyper vector v (weight 0), or None where it fails.
 
     Marginal = penalized objective at the mode + 1/2 log det Q_prior
     - 1/2 log det H + hyper prior; the 2 pi factors cancel exactly.
     """
     spec = ctx.spec
-    if spec.include_field:
-        try:
-            prior = ctx.field_precision(v[0], v[1])
-        except (ValueError, OverflowError):
-            return None
-        logdet_q = prior.logdet()
-        if not math.isfinite(logdet_q):
-            return None
-    else:
-        prior = None
-        logdet_q = 0.0
+    try:
+        prior = ctx.prior_at(v)
+    except (ValueError, OverflowError):
+        return None
+    logdet_q = prior.logdet() if prior is not None else 0.0
+    if not math.isfinite(logdet_q):
+        return None
     logdet_q += ctx.n_coef * math.log(spec.beta_prior.precision)
     zeta = ctx.zeta_of(v)
     offsets = ctx.offsets(zeta)
@@ -406,14 +409,9 @@ def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None):
     except (FitError, NotSpdError):
         return None
     lm = f_val + 0.5 * logdet_q - 0.5 * hess.logdet() + ctx.hyper_log_prior(v)
-    return {
-        "log_marginal": lm,
-        "mode": mode,
-        "curvature": curvature,
-        "beta_mean": mode[ctx.n_field:].copy(),
-        "beta_cov": hess.coef_cov(),
-        "zeta": zeta,
-    }
+    return HyperNode(hyper=np.array(v, dtype=float), zeta=zeta, laplace_log_marginal=lm,
+                     weight=0.0, mode=mode, curvature_weights=curvature,
+                     beta_cov=hess.coef_cov())
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +426,11 @@ def _with_axis(v: np.ndarray, axis: int, value: float) -> np.ndarray:
 
 @dataclass
 class HyperGrid:
-    """Nodes, log marginals, and normalized weights over hyper space."""
+    """Nodes and normalized weights over hyper space."""
 
     nodes: np.ndarray          # (m, d)
-    log_marginals: np.ndarray  # (m,)
     weights: np.ndarray        # (m,), sums to 1
     mode: np.ndarray           # (d,)
-    spread: np.ndarray         # (d,) approximate posterior sd per dimension
     diagnostics: dict
 
 
@@ -455,6 +451,9 @@ def hyper_grid(log_marginal, start: np.ndarray, n_points: int = 5,
     the best candidate seeds the search.  Useful for weakly identified
     dimensions (the thinning rate on lightly thinned data) where a cold
     simplex can strand in a flat region.
+
+    With no dimensions (d = 0) there is nothing to search: the grid is the
+    single empty vector, evaluated once.
     """
     start = np.atleast_1d(np.asarray(start, dtype=float))
     dim = start.size
@@ -476,42 +475,42 @@ def hyper_grid(log_marginal, start: np.ndarray, n_points: int = 5,
 
     center = start
     spread = np.full(dim, fallback_spread)
-    try:
-        simplex = np.vstack([start] + [_with_axis(start, i, start[i] + 0.6) for i in range(dim)])
-        res = minimize(lambda v: -f(v), start, method="Nelder-Mead",
-                       options={"maxfev": max_evals, "xatol": 0.05, "fatol": 0.02,
-                                "initial_simplex": simplex})
-        if not np.isfinite(res.fun):
-            raise FitError("mode search ended at a non-finite marginal")
-        center = np.atleast_1d(res.x)
-        # central-difference Hessian of the log marginal at the mode
-        h = 0.15
-        hess = np.zeros((dim, dim))
-        f0 = f(center)
-        for i in range(dim):
-            ei = np.zeros(dim); ei[i] = h
-            hess[i, i] = (f(center + ei) - 2 * f0 + f(center - ei)) / h ** 2
-            for j in range(i + 1, dim):
-                ej = np.zeros(dim); ej[j] = h
-                hess[i, j] = hess[j, i] = (
-                    f(center + ei + ej) - f(center + ei - ej)
-                    - f(center - ei + ej) + f(center - ei - ej)) / (4 * h * h)
-        cov = np.linalg.inv(-hess)
-        if np.any(np.diag(cov) <= 0) or not np.all(np.isfinite(cov)):
-            raise FitError("non-concave finite-difference Hessian at the mode")
-        spread = np.sqrt(np.diag(cov))
-    except (FitError, np.linalg.LinAlgError) as exc:
-        # keep the best center found; only the spread falls back
-        diagnostics["fallback"] = True
-        diagnostics["reason"] = str(exc)
-        spread = np.full(dim, fallback_spread)
-    # flat or cliff-edged marginals give absurd curvature scales; the grid
-    # stays informative with the spread boxed to a sane band
-    spread = np.clip(spread, 0.05, 3.0)
+    if dim:
+        try:
+            simplex = np.vstack([start] + [_with_axis(start, i, start[i] + 0.6) for i in range(dim)])
+            res = minimize(lambda v: -f(v), start, method="Nelder-Mead",
+                           options={"maxfev": max_evals, "xatol": 0.05, "fatol": 0.02,
+                                    "initial_simplex": simplex})
+            if not np.isfinite(res.fun):
+                raise FitError("mode search ended at a non-finite marginal")
+            center = np.atleast_1d(res.x)
+            # central-difference Hessian of the log marginal at the mode
+            h = 0.15
+            hess = np.zeros((dim, dim))
+            f0 = f(center)
+            for i in range(dim):
+                ei = np.zeros(dim); ei[i] = h
+                hess[i, i] = (f(center + ei) - 2 * f0 + f(center - ei)) / h ** 2
+                for j in range(i + 1, dim):
+                    ej = np.zeros(dim); ej[j] = h
+                    hess[i, j] = hess[j, i] = (
+                        f(center + ei + ej) - f(center + ei - ej)
+                        - f(center - ei + ej) + f(center - ei - ej)) / (4 * h * h)
+            cov = np.linalg.inv(-hess)
+            if np.any(np.diag(cov) <= 0) or not np.all(np.isfinite(cov)):
+                raise FitError("non-concave finite-difference Hessian at the mode")
+            spread = np.sqrt(np.diag(cov))
+        except (FitError, np.linalg.LinAlgError) as exc:
+            # keep the best center found; the spread stays at its fallback
+            diagnostics["fallback"] = True
+            diagnostics["reason"] = str(exc)
+        # flat or cliff-edged marginals give absurd curvature scales; the grid
+        # stays informative with the spread boxed to a sane band
+        spread = np.clip(spread, 0.05, 3.0)
 
     offsets = np.linspace(-span_sd, span_sd, n_points)
     axes = [center[i] + offsets * spread[i] for i in range(dim)]
-    nodes = np.array(list(itertools.product(*axes))) if dim else np.zeros((1, 0))
+    nodes = np.array(list(itertools.product(*axes)))  # d = 0: one empty vector
     lms = np.array([f(v) for v in nodes])
     finite = np.isfinite(lms)
     if not finite.any():
@@ -519,7 +518,7 @@ def hyper_grid(log_marginal, start: np.ndarray, n_points: int = 5,
     shifted = np.where(finite, lms - lms[finite].max(), -np.inf)
     w = np.exp(shifted)
     weights = w / w.sum()
-    return HyperGrid(nodes, lms, weights, center, spread, diagnostics)
+    return HyperGrid(nodes, weights, center, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -599,40 +598,28 @@ class FitResult:
         self.hyper_param_names = [
             {"log_rho": "rho", "log_sigma": "sigma", "theta": "zeta"}[h]
             for h in spec.hyper_names()]
+        self._weights = np.array([n.weight for n in nodes])
+        self._beta_means = np.array([n.beta_mean for n in nodes])                 # (m, p)
+        self._beta_sds = np.array([np.sqrt(np.diag(n.beta_cov)) for n in nodes])  # (m, p)
         self._hyper_marginals = self._build_hyper_marginals()
         self.summaries = self._build_summaries()
         self.scores: dict | None = None
 
     # -- construction helpers ----------------------------------------------
 
-    def _hyper_matrix(self) -> np.ndarray:
-        cols = []
-        names = self.spec.hyper_names()
-        for name in names:
-            if name == "log_rho":
-                cols.append([n.log_rho for n in self.nodes])
-            elif name == "log_sigma":
-                cols.append([n.log_sigma for n in self.nodes])
-            else:
-                cols.append([n.theta for n in self.nodes])
-        return np.array(cols).T if cols else np.zeros((len(self.nodes), 0))
-
     def _build_hyper_marginals(self) -> dict[str, _GridMarginal]:
         out = {}
-        mat = self._hyper_matrix()
-        weights = np.array([n.weight for n in self.nodes])
-        for k, name in enumerate(self.spec.hyper_names()):
+        mat = np.array([n.hyper for n in self.nodes])  # (m, d)
+        for k, name in enumerate(self.hyper_param_names):
             axis = mat[:, k]
             uniq = np.unique(np.round(axis, 12))
-            w = np.array([weights[np.isclose(axis, val)].sum() for val in uniq])
-            out[self.hyper_param_names[k]] = _GridMarginal(uniq, w)
+            w = np.array([self._weights[np.isclose(axis, val)].sum() for val in uniq])
+            out[name] = _GridMarginal(uniq, w)
         return out
 
     def _build_summaries(self) -> dict[str, dict[str, float]]:
         summaries = {}
-        weights = np.array([n.weight for n in self.nodes])
-        means = np.array([n.beta_mean for n in self.nodes])       # (m, p)
-        sds = np.array([np.sqrt(np.diag(n.beta_cov)) for n in self.nodes])
+        weights, means, sds = self._weights, self._beta_means, self._beta_sds
         for j, name in enumerate(self.param_names):
             m = float(weights @ means[:, j])
             var = float(weights @ (sds[:, j] ** 2 + means[:, j] ** 2)) - m * m
@@ -651,15 +638,6 @@ class FitResult:
 
     # -- posterior access ----------------------------------------------------
 
-    def node_zeta(self, k: int) -> float:
-        """Effective thinning rate at node k (0 for the naive model)."""
-        spec = self.spec
-        if not spec.use_vse:
-            return 0.0
-        if spec.zeta_fixed is not None:
-            return spec.zeta_fixed
-        return self.nodes[k].zeta
-
     def credible_interval(self, name: str, level: float = 0.95) -> tuple[float, float]:
         s = self.summaries[name]
         if abs(level - 0.95) < 1e-12:
@@ -670,22 +648,18 @@ class FitResult:
             q = marg.quantile([lo, hi])
             return (float(q[0]), float(q[1]))
         j = self.param_names.index(name)
-        weights = np.array([n.weight for n in self.nodes])
-        means = np.array([n.beta_mean[j] for n in self.nodes])
-        sds = np.array([max(math.sqrt(n.beta_cov[j, j]), 1e-12) for n in self.nodes])
-        return (_mixture_quantile(lo, means, sds, weights),
-                _mixture_quantile(hi, means, sds, weights))
+        means = self._beta_means[:, j]
+        sds = np.maximum(self._beta_sds[:, j], 1e-12)
+        return (_mixture_quantile(lo, means, sds, self._weights),
+                _mixture_quantile(hi, means, sds, self._weights))
 
     def draw_parameter(self, name: str, rng: np.random.Generator, size: int) -> np.ndarray:
         """Posterior draws of one scalar parameter (coefficient or hyper)."""
         if name in self._hyper_marginals:
             return self._hyper_marginals[name].draw(rng, size)
         j = self.param_names.index(name)
-        weights = np.array([n.weight for n in self.nodes])
-        ks = rng.choice(len(self.nodes), size=size, p=weights)
-        means = np.array([self.nodes[k].beta_mean[j] for k in ks])
-        sds = np.array([math.sqrt(max(self.nodes[k].beta_cov[j, j], 0.0)) for k in ks])
-        return means + sds * rng.standard_normal(size)
+        ks = rng.choice(len(self.nodes), size=size, p=self._weights)
+        return self._beta_means[ks, j] + self._beta_sds[ks, j] * rng.standard_normal(size)
 
     def sample_latent(self, rng: np.random.Generator, size: int):
         """Joint draws of (field, coefficients) from the node mixture.
@@ -694,16 +668,14 @@ class FitResult:
         Draws are grouped by node so each node's Gaussian is factored once.
         """
         ctx = self._ctx
-        weights = np.array([n.weight for n in self.nodes])
-        counts = rng.multinomial(size, weights)
+        counts = rng.multinomial(size, self._weights)
         blocks = []
         node_idx = []
         for k, cnt in enumerate(counts):
             if cnt == 0:
                 continue
             node = self.nodes[k]
-            hess = ctx.hessian(node.curvature_weights,
-                               ctx.field_precision(node.log_rho, node.log_sigma))
+            hess = ctx.hessian(node.curvature_weights, ctx.prior_at(node.hyper))
             blocks.append(node.mode[:, None] + hess.sample(rng, cnt))
             node_idx.extend([k] * cnt)
         u = np.hstack(blocks)
@@ -736,9 +708,8 @@ class FitResult:
             json.dump(doc, fh, indent=2)
         np.savez_compressed(
             os.path.join(directory, "fit_nodes.npz"),
-            log_rho=np.array([n.log_rho for n in self.nodes]),
-            log_sigma=np.array([n.log_sigma for n in self.nodes]),
-            theta=np.array([n.theta for n in self.nodes]),
+            hyper=np.array([n.hyper for n in self.nodes]),
+            zeta=np.array([n.zeta for n in self.nodes]),
             log_marginal=np.array([n.laplace_log_marginal for n in self.nodes]),
             weight=np.array([n.weight for n in self.nodes]),
             mode=np.array([n.mode for n in self.nodes]),
@@ -752,23 +723,18 @@ class FitResult:
 
         ctx = _ModelContext(pattern, covariates, roads, spec)
         data = np.load(os.path.join(directory, "fit_nodes.npz"))
+        if "hyper" not in data.files:
+            raise ValueError("fit_nodes.npz has no 'hyper' array: it was saved in an "
+                             "older format; fit the model again")
         nodes = []
         for k in range(data["weight"].size):
-            mode = data["mode"][k]
-            beta_mean = mode[ctx.n_field:]
-            hess = ctx.hessian(data["curvature"][k],
-                               ctx.field_precision(data["log_rho"][k], data["log_sigma"][k]))
+            hyper, curvature = data["hyper"][k], data["curvature"][k]
             nodes.append(HyperNode(
-                log_rho=float(data["log_rho"][k]),
-                log_sigma=float(data["log_sigma"][k]),
-                theta=float(data["theta"][k]),
+                hyper=hyper, zeta=float(data["zeta"][k]),
                 laplace_log_marginal=float(data["log_marginal"][k]),
-                weight=float(data["weight"][k]),
-                mode=mode,
-                curvature_weights=data["curvature"][k],
-                beta_mean=beta_mean,
-                beta_cov=hess.coef_cov(),
-            ))
+                weight=float(data["weight"][k]), mode=data["mode"][k],
+                curvature_weights=curvature,
+                beta_cov=ctx.hessian(curvature, ctx.prior_at(hyper)).coef_cov()))
         return cls(spec, nodes, ctx, {"loaded": True})
 
 
@@ -788,80 +754,35 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     # initialize coefficients from a field-free GLM fit
     glm_spec = replace(spec, include_field=False, use_vse=spec.use_vse and spec.zeta_fixed is not None)
     glm_ctx = _ModelContext(pattern, covariates, roads, glm_spec)
-    start_zeta = ctx.zeta_of(ctx.hyper_start()) if spec.use_vse else 0.0
     glm_mode, _, _, _ = _newton_mode(
-        glm_ctx, None, glm_ctx.offsets(start_zeta), np.zeros(glm_ctx.n_coef))
+        glm_ctx, None, glm_ctx.offsets(ctx.zeta_of(ctx.hyper_start())), np.zeros(glm_ctx.n_coef))
     warm = {"u": np.concatenate([np.zeros(ctx.n_field), glm_mode])}
 
-    cache: dict[tuple, dict] = {}
+    # hyper_grid memoizes on this rounded key, so each node is evaluated once
+    evaluated: dict[tuple, HyperNode] = {}
     lo, hi = ctx.hyper_bounds()
 
     def log_marginal(v: np.ndarray) -> float:
-        key = tuple(np.round(v, 10))
-        if key in cache:
-            return cache[key]["log_marginal"]
         if np.any(v < lo) or np.any(v > hi):
-            cache[key] = {"log_marginal": -np.inf}
             return -np.inf
-        result = _laplace_at(ctx, v, warm["u"])
-        if result is None:
-            cache[key] = {"log_marginal": -np.inf}
+        node = _laplace_at(ctx, v, warm["u"])
+        if node is None:
             return -np.inf
-        warm["u"] = result["mode"]
-        cache[key] = result
-        return result["log_marginal"]
+        warm["u"] = node.mode
+        evaluated[tuple(np.round(v, 10))] = node
+        return node.laplace_log_marginal
 
     hyper_names = spec.hyper_names()
-    if not hyper_names:
-        # no free hyperparameters: single Laplace fit (field-free GLM)
-        result = _laplace_at(ctx, np.zeros(0), warm["u"])
-        if result is None:
-            raise FitError("Laplace fit failed")
-        node = HyperNode(
-            log_rho=float("nan"), log_sigma=float("nan"),
-            theta=math.log(spec.zeta_fixed) if (spec.use_vse and spec.zeta_fixed) else float("nan"),
-            laplace_log_marginal=result["log_marginal"], weight=1.0,
-            mode=result["mode"], curvature_weights=result["curvature"],
-            beta_mean=result["beta_mean"], beta_cov=result["beta_cov"])
-        return FitResult(spec, [node], ctx, {"fallback": False, "n_evals": 1})
-
     prescan = None
-    if spec.use_vse and spec.zeta_fixed is None:
+    if "theta" in hyper_names:
         # the thinning rate is weakly identified on lightly thinned data;
         # scan its axis first so the simplex starts in the right basin
         prescan = {len(hyper_names) - 1: np.array([-8.0, -6.0, -4.0, -2.0, 0.0, 2.0])}
     grid = hyper_grid(log_marginal, ctx.hyper_start(),
-                      n_points=spec.grid_points_per_dim,
-                      span_sd=spec.grid_span_sd,
-                      max_evals=spec.mode_search_max_evals,
-                      prescan=prescan)
+                      n_points=spec.grid_points_per_dim, prescan=prescan)
 
-    nodes: list[HyperNode] = []
-    for k in range(grid.nodes.shape[0]):
-        if grid.weights[k] <= 0.0:
-            continue
-        v = grid.nodes[k]
-        key = tuple(np.round(v, 10))
-        log_marginal(v)
-        result = cache[key]
-        if "mode" not in result:
-            continue
-        vals = dict(zip(hyper_names, v))
-        theta = vals.get("theta", float("nan"))
-        if spec.use_vse and spec.zeta_fixed is not None and spec.zeta_fixed > 0:
-            theta = math.log(spec.zeta_fixed)
-        nodes.append(HyperNode(
-            log_rho=vals.get("log_rho", float("nan")),
-            log_sigma=vals.get("log_sigma", float("nan")),
-            theta=theta,
-            laplace_log_marginal=result["log_marginal"],
-            weight=float(grid.weights[k]),
-            mode=result["mode"],
-            curvature_weights=result["curvature"],
-            beta_mean=result["beta_mean"],
-            beta_cov=result["beta_cov"]))
-    if not nodes:
-        raise FitError("all hyperparameter nodes failed")
+    nodes = [replace(evaluated[tuple(np.round(v, 10))], weight=float(w))
+             for v, w in zip(grid.nodes, grid.weights) if w > 0.0]
     total = sum(n.weight for n in nodes)
     nodes = [replace(n, weight=n.weight / total) for n in nodes]
     return FitResult(spec, nodes, ctx, grid.diagnostics)
@@ -979,12 +900,8 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     pre = _laplace_at(ctx, v0, None)
     if pre is None:
         raise FitError("could not build the MALA preconditioner")
-
-    def field_prior(v_vec):
-        return ctx.field_precision(*v_vec[:2]) if spec.include_field else None
-
-    mass0 = ctx.hessian(pre["curvature"], field_prior(v0))
-    mode0 = pre["mode"]
+    mass0 = ctx.hessian(pre.curvature_weights, ctx.prior_at(v0))
+    mode0 = pre.mode
 
     cfg = chain_config
     n_keep = cfg.n_iter - cfg.n_burn
@@ -1005,7 +922,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
         v = v0 + 0.1 * rng.standard_normal(dim_h) if dim_h else v0.copy()
         u = mode0 + 0.5 * mass.sample(rng, 1)[:, 0]
 
-        prior = field_prior(v)
+        prior = ctx.prior_at(v)
         offsets = ctx.offsets(ctx.zeta_of(v))
 
         def log_post_latent(u_vec):
@@ -1048,7 +965,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             if dim_h:
                 v_prop = v + delta * rng.standard_normal(dim_h)
                 try:
-                    prior_p = field_prior(v_prop)
+                    prior_p = ctx.prior_at(v_prop)
                     offsets_p = ctx.offsets(ctx.zeta_of(v_prop))
                     omega = u[: ctx.n_field]
                     num = (ctx.loglik(u, offsets_p)
@@ -1089,7 +1006,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             if cfg.adapt and it == cfg.n_burn // 2 and spec.include_field:
                 refreshed = _laplace_at(ctx, v, u)
                 if refreshed is not None:
-                    mass = ctx.hessian(refreshed["curvature"], prior)
+                    mass = ctx.hessian(refreshed.curvature_weights, prior)
 
             if it >= cfg.n_burn:
                 k = it - cfg.n_burn

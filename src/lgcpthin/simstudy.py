@@ -48,7 +48,6 @@ class ScenarioConfig:
     nominal_level: float = 0.95
     domain_size: float = 150.0
     grid_n: int = 20
-    sim_refine: int = 1
     road_spacing: float = 50.0
     covariate_distance_corr: float = -0.4
     target_heavy_removal: float = 0.49
@@ -72,20 +71,25 @@ class ScenarioConfig:
 class DomainAssets:
     """Covariate raster, road network, and derived quantities for one geometry.
 
-    Fits always use ``grid``; simulation uses ``sim_grid``, which by default
-    is the same grid (keeping the study internally consistent with the fitted
-    discretization) but can be a bilinear refinement of it via
-    ``ScenarioConfig.sim_refine``.
+    Simulation and fits share one grid, which keeps the study internally
+    consistent with the fitted discretization; ``sim_grid`` and
+    ``sim_covariates`` name it from the simulation's side.
     """
 
     grid: Grid
     covariates: dict[str, RasterGrid]
     roads: RoadNetwork
     covariate_name: str
-    sim_grid: Grid
-    sim_covariates: dict[str, RasterGrid]
-    sim_distance_values: np.ndarray
+    distance_values: np.ndarray  # road distance per cell, row-major
     covariate_distance_corr: float
+
+    @property
+    def sim_grid(self) -> Grid:
+        return self.grid
+
+    @property
+    def sim_covariates(self) -> dict[str, RasterGrid]:
+        return self.covariates
 
 
 @dataclass
@@ -213,16 +217,7 @@ def synthetic_assets(config: ScenarioConfig) -> DomainAssets:
     cov_values = (raw - raw.mean()) / raw.std()
     cov = RasterGrid(grid, cov_values.reshape(grid.ny, grid.nx))
     achieved = pearson_corr(cov_values, d)
-
-    refine = max(int(config.sim_refine), 1)
-    n_fine = config.grid_n * refine
-    sim_grid = Grid(0.0, 0.0, config.domain_size / n_fine, n_fine, n_fine)
-    fine_centers = sim_grid.cell_centers()
-    fine_cov = RasterGrid(sim_grid, cov.interpolate(fine_centers).reshape(n_fine, n_fine))
-    fine_dist = distance_raster(sim_grid, roads)
-    return DomainAssets(grid, {"x1": cov}, roads, "x1",
-                        sim_grid, {"x1": fine_cov},
-                        fine_dist.values.ravel(), achieved)
+    return DomainAssets(grid, {"x1": cov}, roads, "x1", d, achieved)
 
 
 def expected_removal(zeta: float, assets: DomainAssets, config: ScenarioConfig) -> float:
@@ -233,7 +228,7 @@ def expected_removal(zeta: float, assets: DomainAssets, config: ScenarioConfig) 
     """
     cov = assets.sim_covariates[assets.covariate_name].values.ravel()
     lam = np.exp(config.true_beta0 + config.true_beta1 * cov)
-    q = np.exp(-zeta * assets.sim_distance_values ** 2 / 2.0)
+    q = np.exp(-zeta * assets.distance_values ** 2 / 2.0)
     return float(1.0 - (lam @ q) / lam.sum())
 
 

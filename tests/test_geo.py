@@ -66,6 +66,15 @@ class TestDistanceToRoads:
         with pytest.raises(ValueError):
             RoadNetwork(())
 
+    def test_networks_compare_and_hash_by_identity(self):
+        lines = (np.array([[0.0, 0.0], [1.0, 0.0]]),)
+        a, same_arrays = RoadNetwork(lines), RoadNetwork(lines)
+        copied = RoadNetwork(tuple(line.copy() for line in lines))
+        assert a == a
+        assert a != same_arrays and a != copied
+        assert len({a, same_arrays, copied, a}) == 3
+        assert {a: 1}[a] == 1
+
     def test_lipschitz_property(self, simple_roads):
         rng = np.random.default_rng(3)
         p = rng.uniform(-5, 15, size=(200, 2))

@@ -293,6 +293,36 @@ class TestFit:
                 assert back.summaries[name][key] == pytest.approx(
                     result.summaries[name][key], rel=1e-9)
 
+    def test_load_rejects_old_node_format(self, small_fit, naive_spec, tmp_path):
+        # fits saved with separate log_rho/log_sigma/theta arrays do not load
+        result, pattern, covs = small_fit
+        result.save(tmp_path)
+        path = tmp_path / "fit_nodes.npz"
+        data = dict(np.load(path))
+        old = {k: v for k, v in data.items() if k not in ("hyper", "zeta")}
+        old["log_rho"], old["log_sigma"] = data["hyper"][:, 0], data["hyper"][:, 1]
+        old["theta"] = np.full(len(result.nodes), np.nan)
+        np.savez_compressed(path, **old)
+        with pytest.raises(ValueError, match="older format"):
+            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+
+    @pytest.mark.parametrize("model, zeta", [
+        (dict(), 0.0),
+        (dict(use_vse=True, zeta_fixed=2.0), 2.0),
+    ])
+    def test_no_free_hyperparameter_gives_one_node(self, unit_roads, model, zeta):
+        pattern, covs, _ = unit_square_data(seed=3)
+        spec = ModelSpec(covariate_names=("x1",), include_field=False, pc_prior=UNIT_PC, **model)
+        assert spec.hyper_names() == ()
+        result = fit(pattern, covs, unit_roads, spec)
+        [node] = result.nodes
+        assert node.weight == 1.0
+        assert node.zeta == zeta
+        assert node.hyper.shape == (0,)
+        assert result.hyper_diagnostics["n_evals"] == 1
+        assert result.hyper_diagnostics["fallback"] is False
+        assert all(math.isfinite(v) for s in result.summaries.values() for v in s.values())
+
     def test_empty_pattern_rejected(self, naive_spec):
         _, covs, grid = unit_square_data(seed=1)
         empty = PointPattern(np.empty((0, 2)), grid.bbox)

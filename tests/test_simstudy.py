@@ -1,5 +1,7 @@
 """Simulation-study plumbing tests (statistical patterns live in acceptance)."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -117,10 +119,11 @@ class TestRunScenarios:
         res = ScenarioResult(rows, [], ScenarioConfig(), 1.0, (0.0,), (0.0,), 0, 3)
         assert coverage_table(res)[0]["coverage"] == 1.0
 
-    def test_reproducible_bit_identical(self):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_reproducible_bit_identical(self, threads):
         cfg = ScenarioConfig(seed=9, score_fits=False, **FAST)
         a = run_scenarios(cfg)
-        b = run_scenarios(cfg)
+        b = run_scenarios(replace(cfg, threads=threads))
         assert a.rows == b.rows
         assert a.zeta_scale == b.zeta_scale
 
