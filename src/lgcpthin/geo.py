@@ -119,22 +119,6 @@ class RasterGrid:
         i, j = self.grid.cell_index(points)
         return self.values[j, i]
 
-    def interpolate(self, points: np.ndarray) -> np.ndarray:
-        """Bilinear interpolation between cell centers, clamped at edges."""
-        pts = np.atleast_2d(points)
-        g = self.grid
-        fx = (pts[:, 0] - g.x0) / g.cell_size - 0.5
-        fy = (pts[:, 1] - g.y0) / g.cell_size - 0.5
-        i0 = np.clip(np.floor(fx), 0, g.nx - 2).astype(int)
-        j0 = np.clip(np.floor(fy), 0, g.ny - 2).astype(int)
-        wx = np.clip(fx - i0, 0.0, 1.0)
-        wy = np.clip(fy - j0, 0.0, 1.0)
-        v = self.values
-        return ((1 - wx) * (1 - wy) * v[j0, i0]
-                + wx * (1 - wy) * v[j0, i0 + 1]
-                + (1 - wx) * wy * v[j0 + 1, i0]
-                + wx * wy * v[j0 + 1, i0 + 1])
-
 
 # ---------------------------------------------------------------------------
 # Road networks and point patterns

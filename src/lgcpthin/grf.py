@@ -8,8 +8,11 @@ represented as a Gaussian Markov random field whose precision discretizes
 (the alpha = 2 SPDE construction).  :class:`GmrfPrecision` is the one
 representation of that prior: products with Q by stencil passes, the
 log-determinant in closed form from the DCT-II eigenvalues of G, and banded
-storage only for Newton Hessians and sampling.  Neumann boundary artifacts
-are controlled by building on an extended grid and cropping.
+storage only for Newton Hessians and sampling.  That band is filled straight
+from the stencil: the lower half of Q lies on 7 diagonals (offsets 0, 1, 2,
+nx-1, nx, nx+1 and 2 nx), whose G and G G values are small integers, with
+G G scaled by the reciprocal ``1.0 / (h*h)``.  Neumann boundary artifacts are
+controlled by building on an extended grid and cropping.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.special import k1
 
 from lgcpthin.cholesky import BandedCholesky
@@ -136,35 +138,6 @@ def pc_prior_logdensity(rho: float, sigma: float, spec: PcPriorSpec) -> float:
 # Lattice precision construction
 # ---------------------------------------------------------------------------
 
-def _stiffness(nx: int, ny: int) -> sp.csr_matrix:
-    """Graph Laplacian of the 4-neighbor lattice (dimensionless stiffness)."""
-    n = nx * ny
-    idx = np.arange(n)
-    i = idx % nx
-    j = idx // nx
-    rows, cols = [], []
-    for di, dj in ((1, 0), (0, 1)):
-        ok = (i + di < nx) & (j + dj < ny)
-        a = idx[ok]
-        b = a + di + dj * nx
-        rows.extend([a, b])
-        cols.extend([b, a])
-    rows = np.concatenate(rows)
-    cols = np.concatenate(cols)
-    off = sp.csr_matrix((-np.ones(rows.size), (rows, cols)), shape=(n, n))
-    deg = -np.asarray(off.sum(axis=1)).ravel()
-    return (off + sp.diags(deg)).tocsr()
-
-
-def _banded(matrix: sp.spmatrix, bandwidth: int) -> np.ndarray:
-    """LAPACK lower-banded storage ``ab[k, j] = A[j+k, j]`` of a sparse matrix."""
-    n = matrix.shape[0]
-    ab = np.zeros((bandwidth + 1, n))
-    for k in range(bandwidth + 1):
-        ab[k, : n - k] = matrix.diagonal(-k)
-    return ab
-
-
 class GmrfPrecision:
     """The lattice prior ``Q = (tau/h)^2 (kappa^2 h^2 I + G)^2`` at one (rho, sigma).
 
@@ -224,23 +197,40 @@ class GmrfPrecision:
 class _LatticeOperators:
     """Everything about the prior that depends only on the grid shape.
 
-    The banded stiffness pieces make :meth:`assemble_banded` a three-term
-    linear combination; the Laplacian eigenvalues
-    ``mu_ij = (2 - 2 cos(pi i / nx)) + (2 - 2 cos(pi j / ny))`` give the
-    closed-form log-determinant.
+    For :meth:`assemble_banded`, G and G C^-1 G on the 7 lower diagonals of
+    Q, from each node's degree and right/lower neighbour masks, with G G
+    times the reciprocal ``1.0 / (h*h)`` (a division rounds differently);
+    for the closed-form log-determinant, the Laplacian eigenvalues
+    ``mu_ij = (2 - 2 cos(pi i / nx)) + (2 - 2 cos(pi j / ny))``.
     """
 
     def __init__(self, grid: Grid):
         h = grid.cell_size
-        nx, ny = grid.nx, grid.ny
-        g = _stiffness(nx, ny)
-        bandwidth = 2 * nx
+        nx, ny, n = grid.nx, grid.ny, grid.n_cells
         self.shape = (ny, nx)
         self.cell_size = h
-        # lumped mass C = h^2 I, stiffness G and G C^-1 G, in banded storage
-        self._ab_c = _banded(sp.identity(grid.n_cells, format="csr") * (h * h), bandwidth)
-        self._ab_g = _banded(g, bandwidth)
-        self._ab_gg = _banded((g @ g) / (h * h), bandwidth)
+        i = np.arange(n) % nx
+        j = np.arange(n) // nx
+        left = (i > 0).astype(int)
+        right = (i < nx - 1).astype(int)
+        down = (j < ny - 1).astype(int)
+        deg = left + right + down + (j > 0)
+        # (offset k, G, G G) with entry p of each vector at row p + k, column p;
+        # on grids narrower than 4 some offsets coincide and their values add
+        stencil: dict[int, tuple] = {}
+        for k, g, gg in ((0, deg, deg * deg + deg),
+                         (1, -right[:-1], -right[:-1] * (deg[:-1] + deg[1:])),
+                         (2, 0, right[:-2] * right[1:-1]),
+                         (nx - 1, 0, 2 * left[:n - nx + 1] * down[:n - nx + 1]),
+                         (nx, -down[:-nx], -down[:-nx] * (deg[:-nx] + deg[nx:])),
+                         (nx + 1, 0, 2 * right[:n - nx - 1] * down[:n - nx - 1]),
+                         (2 * nx, 0, down[:n - 2 * nx] * down[nx:n - nx])):
+            g0, gg0 = stencil.get(k, (0, 0))
+            stencil[k] = (g0 + g, gg0 + gg)
+        # lumped mass C = h^2 I, stiffness G and G C^-1 G on each diagonal
+        self._diagonals = [(k, h * h if k == 0 else 0.0, np.asarray(g, dtype=float),
+                            np.asarray(gg, dtype=float) * (1.0 / (h * h)))
+                           for k, (g, gg) in stencil.items()]
         mu_x = 2.0 - 2.0 * np.cos(np.pi * np.arange(nx) / nx)
         mu_y = 2.0 - 2.0 * np.cos(np.pi * np.arange(ny) / ny)
         self.laplacian_eigenvalues = (mu_y[:, None] + mu_x[None, :]).ravel()
@@ -251,22 +241,12 @@ class _LatticeOperators:
     def assemble_banded(self, params: MaternParams) -> np.ndarray:
         """Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^-1 G) in lower-banded storage."""
         kappa, tau = params.kappa, params.tau
-        t2 = tau * tau
-        return t2 * (kappa ** 4 * self._ab_c + 2.0 * kappa ** 2 * self._ab_g + self._ab_gg)
-
-
-_OPERATOR_CACHE: dict[tuple, _LatticeOperators] = {}
-
-
-def _operators(grid: Grid) -> _LatticeOperators:
-    key = (grid.nx, grid.ny, grid.cell_size)
-    ops = _OPERATOR_CACHE.get(key)
-    if ops is None:
-        ops = _LatticeOperators(grid)
-        if len(_OPERATOR_CACHE) > 8:
-            _OPERATOR_CACHE.clear()
-        _OPERATOR_CACHE[key] = ops
-    return ops
+        t2, k4, k2 = tau * tau, kappa ** 4, 2.0 * kappa ** 2
+        ny, nx = self.shape
+        ab = np.zeros((2 * nx + 1, nx * ny))
+        for k, c, g, gg in self._diagonals:
+            ab[k, :nx * ny - k] = t2 * (k4 * c + k2 * g + gg)
+        return ab
 
 
 def build_precision(grid: Grid, params: MaternParams) -> GmrfPrecision:
@@ -280,7 +260,7 @@ def build_precision(grid: Grid, params: MaternParams) -> GmrfPrecision:
     """
     if grid.nx < 4 or grid.ny < 4:
         raise ValueError("grid must have at least 4 nodes per dimension")
-    prec = _operators(grid).assemble(params)
+    prec = _LatticeOperators(grid).assemble(params)
     prec.chol()  # fail fast if not SPD
     return prec
 

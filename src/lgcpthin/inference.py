@@ -32,7 +32,7 @@ from scipy.stats import norm
 from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.errors import FitError, NotSpdError
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork, distances_to_roads, distance_raster
-from lgcpthin.grf import GmrfPrecision, MaternParams, PcPriorSpec, _operators, extension_margin, pc_prior_logdensity
+from lgcpthin.grf import GmrfPrecision, MaternParams, PcPriorSpec, _LatticeOperators, extension_margin, pc_prior_logdensity
 from lgcpthin.pointprocess import IntegrationScheme
 
 __all__ = [
@@ -145,7 +145,7 @@ class _ModelContext:
             self.margin = 0
         self.ext_grid = grid.extended(self.margin)
         self.n_field = self.ext_grid.n_cells if spec.include_field else 0
-        self.ops = _operators(self.ext_grid) if spec.include_field else None
+        self.ops = _LatticeOperators(self.ext_grid) if spec.include_field else None
 
         # design: intercept + covariates at cells and at points.  Points use
         # their containing cell's value, the same functional the integral

@@ -385,16 +385,6 @@ class TestGridRaster:
         np.testing.assert_array_equal(inside[0], np.tile(np.arange(nx), ny))
         np.testing.assert_array_equal(inside[1], np.repeat(np.arange(ny), nx))
 
-    def test_bilinear_reproduces_linear_surface(self):
-        g = Grid(0.0, 0.0, 0.25, 9, 7)
-        centers = g.cell_centers()
-        vals = (2.0 * centers[:, 0] - 0.7 * centers[:, 1] + 1.0).reshape(7, 9)
-        r = RasterGrid(g, vals)
-        rng = np.random.default_rng(2)
-        pts = rng.uniform(0.3, 1.4, size=(60, 2))
-        expect = 2.0 * pts[:, 0] - 0.7 * pts[:, 1] + 1.0
-        assert np.allclose(r.interpolate(pts), expect, atol=1e-12)
-
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
             PointPattern(np.array([[2.0, 0.5]]), (0, 0, 1, 1))

@@ -1,10 +1,12 @@
 """Latent-field tests: Matern covariance, lattice precision, sampling, priors."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
@@ -13,6 +15,7 @@ from lgcpthin.geo import Grid
 from lgcpthin.grf import (
     MaternParams,
     PcPriorSpec,
+    _LatticeOperators,
     build_precision,
     matern_cov,
     pc_prior_logdensity,
@@ -85,6 +88,46 @@ def dense_from_matvec(prec) -> np.ndarray:
     return np.column_stack([prec.matvec(e) for e in np.eye(prec.n)])
 
 
+def sparse_stiffness(nx: int, ny: int) -> sp.csr_matrix:
+    """Graph Laplacian of the 4-neighbour lattice as a CSR matrix."""
+    n = nx * ny
+    idx = np.arange(n)
+    i = idx % nx
+    j = idx // nx
+    rows, cols = [], []
+    for di, dj in ((1, 0), (0, 1)):
+        ok = (i + di < nx) & (j + dj < ny)
+        a = idx[ok]
+        b = a + di + dj * nx
+        rows.extend([a, b])
+        cols.extend([b, a])
+    rows = np.concatenate(rows)
+    cols = np.concatenate(cols)
+    off = sp.csr_matrix((-np.ones(rows.size), (rows, cols)), shape=(n, n))
+    deg = -np.asarray(off.sum(axis=1)).ravel()
+    return (off + sp.diags(deg)).tocsr()
+
+
+def sparse_banded_precision(grid: Grid, params: MaternParams) -> np.ndarray:
+    """Oracle for the band of Q: tau^2 (kappa^4 C + 2 kappa^2 G + G C^-1 G)
+    formed from scipy.sparse matrices, whose division by a scalar multiplies
+    by its reciprocal."""
+    h = grid.cell_size
+    n = grid.n_cells
+    g = sparse_stiffness(grid.nx, grid.ny)
+
+    def banded(matrix):
+        ab = np.zeros((2 * grid.nx + 1, n))
+        for k in range(ab.shape[0]):
+            ab[k, : n - k] = matrix.diagonal(-k)
+        return ab
+
+    c = banded(sp.identity(n, format="csr") * (h * h))
+    gg = banded((g @ g) / (h * h))
+    kappa, tau = params.kappa, params.tau
+    return tau * tau * (kappa ** 4 * c + 2.0 * kappa ** 2 * banded(g) + gg)
+
+
 class TestBuildPrecision:
     def test_symmetry_and_sparsity(self):
         grid = Grid(0.0, 0.0, 1.0 / 16, 16, 16)
@@ -93,6 +136,33 @@ class TestBuildPrecision:
         assert np.max(np.abs(q - q.T)) <= 1e-12
         row_nnz = np.count_nonzero(dense_from_banded(prec.banded), axis=1)
         assert row_nnz.max() <= 13
+
+    def test_operators_memory_bounded(self):
+        # the stencil diagonals take about 2 MiB; three full (2 nx + 1) x n
+        # bands would take 200 MB
+        tracemalloc.start()
+        try:
+            ops = _LatticeOperators(Grid(0.0, 0.0, 1.0, 160, 160))
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ops.shape == (160, 160)
+        assert kept < 8 * 2 ** 20
+
+    # nx below 4 makes diagonal offsets coincide; the field of a fit may be
+    # that narrow, though build_precision rejects it
+    @settings(max_examples=100, deadline=None)
+    @given(nx=st.integers(1, 30), ny=st.integers(2, 30),
+           h=st.sampled_from([0.013, 0.25, 1.0, 3.7, 7.5]) | st.floats(1e-3, 1e2),
+           rho_cells=st.floats(0.5, 30.0), sigma=st.floats(0.05, 20.0))
+    @example(nx=4, ny=4, h=0.013, rho_cells=10.0, sigma=1.0)
+    def test_band_bytes_match_sparse_oracle(self, nx, ny, h, rho_cells, sigma):
+        grid = Grid(0.0, 0.0, h, nx, ny)
+        params = MaternParams(sigma=sigma, rho=rho_cells * h)
+        got = _LatticeOperators(grid).assemble_banded(params)
+        want = sparse_banded_precision(grid, params)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     def test_cholesky_succeeds(self):
         grid = Grid(0.0, 0.0, 0.1, 12, 9)
