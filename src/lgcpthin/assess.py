@@ -18,6 +18,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 MIN_SAMPLES = 100
+MIN_ESS_FRACTION = 0.05  # CPO rows with a smaller importance ESS share are flagged
 
 
 @dataclass(frozen=True)
@@ -89,14 +90,13 @@ def waic(table: PointwiseLikelihoodTable) -> tuple[float, float]:
     return -2.0 * (float(lppd.sum()) - p_waic), p_waic
 
 
-def lpml(table: PointwiseLikelihoodTable,
-         min_ess_fraction: float = 0.05) -> tuple[float, np.ndarray, np.ndarray]:
+def lpml(table: PointwiseLikelihoodTable) -> tuple[float, np.ndarray, np.ndarray]:
     """Log pseudo marginal likelihood via harmonic-mean CPO estimates.
 
     ``CPO_i = (mean_s 1/p(y_i | theta_s))^-1`` evaluated in log space.
     Returns (LPML, log CPO per row, unreliable-row flags); a row is flagged
     when the importance weights' effective sample size falls below
-    ``min_ess_fraction`` of the sample count.
+    ``MIN_ESS_FRACTION`` of the sample count.
     """
     _require_samples(table)
     s = table.n_samples
@@ -105,7 +105,7 @@ def lpml(table: PointwiseLikelihoodTable,
     log_cpo = -log_mean_inv
     # ESS of the harmonic-mean weights, all in log space
     log_ess = 2.0 * logsumexp(neg, axis=1) - logsumexp(2.0 * neg, axis=1)
-    unreliable = np.exp(log_ess) < min_ess_fraction * s
+    unreliable = np.exp(log_ess) < MIN_ESS_FRACTION * s
     return float(log_cpo.sum()), log_cpo, unreliable
 
 
@@ -116,7 +116,7 @@ def pointwise_table(fit_result, n_samples: int = 200, seed=0) -> PointwiseLikeli
     VSE draws include the drawn node's access offset, so the table scores the
     observed (thinned) process that the model was fitted to.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     ctx = fit_result._ctx
     u, node_idx = fit_result.sample_latent(rng, n_samples)
     zeros = (np.zeros(ctx.n_cells), np.zeros(ctx.n_points))

@@ -64,19 +64,32 @@ def _parse_value(raw: str):
     return raw.strip("'\"")
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill still-at-default options from the config file; explicit flags win."""
-    if not getattr(args, "config", None):
+def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
+    """Parse ``argv``, then again with the ``--config`` file's values as the
+    command's defaults: a flag wins whatever its value, a repeated flag replaces
+    the file's list, and a key that names no option of the command, or a value
+    outside an option's choices, is an error."""
+    args = parser.parse_args(argv)
+    if not args.config:
         return args
     cfg = read_config(args.config)
     sub_action = next(a for a in parser._actions
                       if isinstance(a, argparse._SubParsersAction))
     subparser = sub_action.choices[args.command]
-    defaults = {a.dest: a.default for a in subparser._actions}
+    actions = {a.dest: a for a in subparser._actions if a.dest not in ("help", "config")}
     for key, value in cfg.items():
-        if key in vars(args) and key in defaults and getattr(args, key) == defaults[key]:
-            setattr(args, key, value)
-    return args
+        if key not in actions:
+            raise ParseError(f"unknown key {key!r} for '{args.command}'", args.config)
+        if actions[key].choices and value not in actions[key].choices:
+            raise ParseError(f"{key} = {value!r} is not one of {list(actions[key].choices)}", args.config)
+        if isinstance(actions[key], argparse._AppendAction) or actions[key].nargs == "+":
+            cfg[key] = value if isinstance(value, list) else [value]
+    subparser.set_defaults(**cfg)
+    merged = parser.parse_args(argv)
+    for key in cfg:  # a flag given once or more replaces the file's list
+        if isinstance(actions[key], argparse._AppendAction) and getattr(args, key):
+            setattr(merged, key, getattr(args, key))
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +280,7 @@ def cmd_predict(args) -> int:
     pattern = geo.read_points_csv(args.points or opts["points"], domain=grid.bbox)
     roads_path = args.roads or opts.get("roads")
     roads = geo.read_roads(roads_path) if roads_path else None
-    ns = argparse.Namespace(**{**opts, "model": opts["model"]})
+    ns = argparse.Namespace(**opts)
     spec = _model_spec(ns, covs.keys())
     result = FitResult.load(args.fit, pattern, covs, roads, spec)
     median, sd = predict_intensity(result, draws=args.draws, seed=args.seed)
@@ -329,17 +342,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", required=True, help="output directory")
 
 
-def _add_prior_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--pc-rho0", type=float, default=15.0)
-    p.add_argument("--pc-alpha-rho", type=float, default=0.05)
-    p.add_argument("--pc-sigma0", type=float, default=1.0)
-    p.add_argument("--pc-alpha-sigma", type=float, default=0.05)
-    p.add_argument("--beta-precision", type=float, default=0.01)
-    p.add_argument("--theta-mean", type=float, default=1.0)
-    p.add_argument("--theta-precision", type=float, default=0.05)
-    p.add_argument("--zeta-fixed", type=float, default=None)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="lgcpthin",
@@ -384,7 +386,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["naive", "vse"], default="naive")
     p.add_argument("--assess-draws", type=int, default=200,
                    help="posterior draws for DIC/WAIC/LPML; 0 skips scoring")
-    _add_prior_flags(p)
+    # priors; 'predict' takes them, and the model, from the fit's manifest
+    p.add_argument("--pc-rho0", type=float, default=15.0)
+    p.add_argument("--pc-alpha-rho", type=float, default=0.05)
+    p.add_argument("--pc-sigma0", type=float, default=1.0)
+    p.add_argument("--pc-alpha-sigma", type=float, default=0.05)
+    p.add_argument("--beta-precision", type=float, default=0.01)
+    p.add_argument("--theta-mean", type=float, default=1.0)
+    p.add_argument("--theta-precision", type=float, default=0.05)
+    p.add_argument("--zeta-fixed", type=float, default=None)
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 
@@ -393,9 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", default=None, help="override the fit's inputs")
     p.add_argument("--covariate", action="append", default=None)
     p.add_argument("--roads", default=None)
-    p.add_argument("--model", choices=["naive", "vse"], default=None)
     p.add_argument("--draws", type=int, default=1000)
-    _add_prior_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_predict)
 
@@ -410,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-n", type=int, default=20)
     p.add_argument("--domain-size", type=float, default=150.0)
     p.add_argument("--self-test", action="store_true")
-    p.add_argument("--threads", type=int, default=1, help="replicates run in parallel")
+    p.add_argument("--threads", type=int, default=1,
+                   help="replicates in parallel threads of one interpreter (speed-up 0.99 with 2)")
     _add_common(p)
     p.set_defaults(func=cmd_simstudy)
 
@@ -423,10 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        args = _parse_args(build_parser(), argv)
         return args.func(args)
     except (LgcpThinError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

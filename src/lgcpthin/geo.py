@@ -32,6 +32,8 @@ from scipy.special import kolmogorov
 
 from lgcpthin.errors import LgcpThinError, ParseError
 
+_CONGRUENT_TOL = 1e-9  # coordinate slack when comparing grids
+
 
 # ---------------------------------------------------------------------------
 # Grids and rasters
@@ -89,11 +91,11 @@ class Grid:
         return Grid(self.x0 - m * self.cell_size, self.y0 - m * self.cell_size,
                     self.cell_size, self.nx + 2 * m, self.ny + 2 * m)
 
-    def congruent(self, other: "Grid", tol: float = 1e-9) -> bool:
+    def congruent(self, other: "Grid") -> bool:
         return (self.nx == other.nx and self.ny == other.ny
-                and abs(self.x0 - other.x0) <= tol
-                and abs(self.y0 - other.y0) <= tol
-                and abs(self.cell_size - other.cell_size) <= tol)
+                and abs(self.x0 - other.x0) <= _CONGRUENT_TOL
+                and abs(self.y0 - other.y0) <= _CONGRUENT_TOL
+                and abs(self.cell_size - other.cell_size) <= _CONGRUENT_TOL)
 
 
 @dataclass(frozen=True)

@@ -270,7 +270,7 @@ def sample_field(precision: GmrfPrecision, seed, size: int = 1) -> np.ndarray:
 
     ``seed`` may be an integer or a ``numpy.random.Generator``.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     draws = precision.chol().sample(rng, size)
     fields = draws.T.reshape(size, *precision.shape)
     return fields[0] if size == 1 else fields

@@ -105,6 +105,11 @@ class HyperNode:
 
 _NEWTON_TOL = 1e-6  # Newton stops once max |gradient| falls below this
 _MAX_NEWTON_ITER = 50
+_SPAN_SD = 2.5           # the hyper grid spans +- this many posterior sds per dimension
+_MAX_EVALS = 200         # Nelder-Mead evaluation budget of the hyper mode search
+_FALLBACK_SPREAD = 0.75  # hyper grid spread per dimension when the mode's Hessian fails
+_MALA_STEP = 0.2         # initial MCMC latent step size, adapted during burn-in
+_HYPER_STEP = 0.4        # initial MCMC hyper random-walk scale, adapted during burn-in
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +136,6 @@ class _ModelContext:
             if not covariates[name].grid.congruent(grid):
                 raise ValueError(f"covariate {name!r} grid not congruent")
         self.spec = spec
-        self.pattern = pattern
         self.grid = grid
         self.scheme = IntegrationScheme.from_grid(grid)
         self.n_points = len(pattern)
@@ -435,17 +439,15 @@ class HyperGrid:
 
 
 def hyper_grid(log_marginal, start: np.ndarray, n_points: int = 5,
-               span_sd: float = 2.5, max_evals: int = 200,
-               fallback_spread: float = 0.75,
                prescan: dict[int, np.ndarray] | None = None) -> HyperGrid:
     """Locate the hyper posterior mode and lay a regular grid around it.
 
     ``log_marginal`` maps a hyper vector to its Laplace log marginal (or
     ``-inf`` where it cannot be evaluated).  Mode search is derivative-free
-    (Nelder-Mead); the grid spans ``+- span_sd`` approximate posterior
-    standard deviations per dimension, obtained from a finite-difference
-    Hessian at the mode.  On optimizer failure a fixed grid centered at
-    ``start`` is used and reported in the diagnostics.
+    (Nelder-Mead); the grid spans +- 2.5 approximate posterior standard
+    deviations per dimension, obtained from a finite-difference Hessian at
+    the mode.  On optimizer failure the spread falls back to 0.75 around the
+    best center found, and the fallback is reported in the diagnostics.
 
     ``prescan`` maps a dimension index to candidate offsets from ``start``;
     the best candidate seeds the search.  Useful for weakly identified
@@ -474,12 +476,12 @@ def hyper_grid(log_marginal, start: np.ndarray, n_points: int = 5,
             start = _with_axis(start, axis, start[axis] + best)
 
     center = start
-    spread = np.full(dim, fallback_spread)
+    spread = np.full(dim, _FALLBACK_SPREAD)
     if dim:
         try:
             simplex = np.vstack([start] + [_with_axis(start, i, start[i] + 0.6) for i in range(dim)])
             res = minimize(lambda v: -f(v), start, method="Nelder-Mead",
-                           options={"maxfev": max_evals, "xatol": 0.05, "fatol": 0.02,
+                           options={"maxfev": _MAX_EVALS, "xatol": 0.05, "fatol": 0.02,
                                     "initial_simplex": simplex})
             if not np.isfinite(res.fun):
                 raise FitError("mode search ended at a non-finite marginal")
@@ -508,7 +510,7 @@ def hyper_grid(log_marginal, start: np.ndarray, n_points: int = 5,
         # stays informative with the spread boxed to a sane band
         spread = np.clip(spread, 0.05, 3.0)
 
-    offsets = np.linspace(-span_sd, span_sd, n_points)
+    offsets = np.linspace(-_SPAN_SD, _SPAN_SD, n_points)
     axes = [center[i] + offsets * spread[i] for i in range(dim)]
     nodes = np.array(list(itertools.product(*axes)))  # d = 0: one empty vector
     lms = np.array([f(v) for v in nodes])
@@ -799,8 +801,7 @@ def summarize_log_intensity_draws(eta: np.ndarray, grid: Grid):
     return RasterGrid(grid, med), RasterGrid(grid, sd)
 
 
-def predict_intensity(result: FitResult, target_grid: Grid | None = None,
-                      draws: int = 1000, seed=0):
+def predict_intensity(result: FitResult, draws: int = 1000, seed=0):
     """Posterior median and sd rasters of the potential log intensity.
 
     The access factor q is deliberately excluded: predictions are of the
@@ -808,10 +809,7 @@ def predict_intensity(result: FitResult, target_grid: Grid | None = None,
     surfaces are directly comparable.
     """
     ctx = result._ctx
-    if target_grid is not None and not target_grid.congruent(ctx.grid):
-        raise ValueError("target grid must be congruent with the fit's covariate grid")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    u, _ = result.sample_latent(rng, draws)
+    u, _ = result.sample_latent(np.random.default_rng(seed), draws)
     eta_n, _ = ctx.eta_many(u, (np.zeros(ctx.n_cells), np.zeros(ctx.n_points)))
     return summarize_log_intensity_draws(eta_n, ctx.grid)
 
@@ -824,10 +822,6 @@ def predict_intensity(result: FitResult, target_grid: Grid | None = None,
 class ChainConfig:
     n_iter: int = 4000
     n_burn: int = 2000
-    step_size: float = 0.2
-    hyper_step: float = 0.4
-    adapt: bool = True
-    field_thin: int = 10
 
 
 @dataclass
@@ -835,10 +829,8 @@ class McmcResult:
     beta: np.ndarray            # (chains, n_keep, p)
     hypers: np.ndarray          # (chains, n_keep, d)
     hyper_names: tuple[str, ...]
-    field_thinned: np.ndarray   # (chains, n_keep//thin, n_field)
     accept_latent: np.ndarray
     accept_hyper: np.ndarray
-    step_sizes: np.ndarray
     warnings: list[str]
 
     def beta_mean(self) -> np.ndarray:
@@ -875,28 +867,26 @@ def _log_field_prior(omega, prior: GmrfPrecision | None) -> float:
 def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
              roads: RoadNetwork | None, spec: ModelSpec,
              chain_config: ChainConfig = ChainConfig(), chains: int = 4,
-             seed=0, max_latent: int = 1000,
-             fix_hypers: np.ndarray | None = None) -> McmcResult:
+             seed=0, max_latent: int = 1000) -> McmcResult:
     """Metropolis-within-Gibbs sampler over the same posterior as :func:`fit`.
 
     Latent block (field, coefficients) moves by preconditioned MALA with the
     step size tuned to a 0.5-0.7 acceptance rate during burn-in; free
-    hyperparameters move by random-walk Metropolis.  ``fix_hypers`` pins the
-    hyper vector and disables its updates (conditional sampling).  Intended
-    as a validation oracle, so instances are restricted to ``max_latent``
-    latent nodes.
+    hyperparameters move by random-walk Metropolis.  Intended as a
+    validation oracle, so instances are restricted to ``max_latent`` latent
+    nodes.
     """
     ctx = _ModelContext(pattern, covariates, roads, spec)
     n_latent = ctx.n_field + ctx.n_coef
     if n_latent > max_latent:
         raise ValueError(f"mcmc_fit is limited to {max_latent} latent nodes; got {n_latent}")
     hyper_names = spec.hyper_names()
-    dim_h = 0 if fix_hypers is not None else len(hyper_names)
+    dim_h = len(hyper_names)
     rng_master = np.random.default_rng(seed)
     chain_seeds = rng_master.integers(0, 2 ** 63 - 1, size=chains)
 
     # shared preconditioner: Laplace Hessian at the prior-start hypers
-    v0 = np.asarray(fix_hypers, dtype=float) if fix_hypers is not None else ctx.hyper_start()
+    v0 = ctx.hyper_start()
     pre = _laplace_at(ctx, v0, None)
     if pre is None:
         raise FitError("could not build the MALA preconditioner")
@@ -905,19 +895,16 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
 
     cfg = chain_config
     n_keep = cfg.n_iter - cfg.n_burn
-    thin = max(cfg.field_thin, 1)
     beta_out = np.zeros((chains, n_keep, ctx.n_coef))
     hyper_out = np.zeros((chains, n_keep, dim_h))
-    field_out = np.zeros((chains, n_keep // thin, ctx.n_field))
     acc_latent = np.zeros(chains)
     acc_hyper = np.zeros(chains)
-    steps = np.zeros(chains)
     warnings: list[str] = []
 
     for c in range(chains):
         rng = np.random.default_rng(chain_seeds[c])
-        eps = cfg.step_size
-        delta = cfg.hyper_step
+        eps = _MALA_STEP
+        delta = _HYPER_STEP
         mass = mass0
         v = v0 + 0.1 * rng.standard_normal(dim_h) if dim_h else v0.copy()
         u = mode0 + 0.5 * mass.sample(rng, 1)[:, 0]
@@ -992,7 +979,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             # bounded update per 50-iteration epoch (per-iteration updates
             # compound faster than rejections can register and run away)
             epoch_n += 1
-            if cfg.adapt and it < cfg.n_burn and epoch_n == 50:
+            if it < cfg.n_burn and epoch_n == 50:
                 eps *= math.exp(0.4 * (epoch_acc_l / 50 - 0.6))
                 eps = float(np.clip(eps, 1e-4, 10.0))
                 if dim_h:
@@ -1003,7 +990,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             # halfway through burn-in, re-precondition at the hypers the
             # chain actually visits; the start-of-chain mass can be badly
             # scaled when the hyper posterior sits far from its prior start
-            if cfg.adapt and it == cfg.n_burn // 2 and spec.include_field:
+            if it == cfg.n_burn // 2 and spec.include_field:
                 refreshed = _laplace_at(ctx, v, u)
                 if refreshed is not None:
                     mass = ctx.hessian(refreshed.curvature_weights, prior)
@@ -1011,14 +998,10 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             if it >= cfg.n_burn:
                 k = it - cfg.n_burn
                 beta_out[c, k] = u[ctx.n_field:]
-                if dim_h:
-                    hyper_out[c, k] = v
-                if ctx.n_field and k % thin == 0 and k // thin < field_out.shape[1]:
-                    field_out[c, k // thin] = u[: ctx.n_field]
+                hyper_out[c, k] = v
 
         acc_latent[c] = n_acc_l / max(n_try_l, 1)
         acc_hyper[c] = n_acc_h / max(n_try_h, 1) if dim_h else float("nan")
-        steps[c] = eps
         if not 0.1 <= acc_latent[c] <= 0.9:
             warnings.append(
                 f"chain {c}: latent acceptance {acc_latent[c]:.2f} outside [0.1, 0.9]")
@@ -1026,5 +1009,4 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             warnings.append(
                 f"chain {c}: hyper acceptance {acc_hyper[c]:.2f} outside [0.1, 0.9]")
 
-    return McmcResult(beta_out, hyper_out, hyper_names, field_out,
-                      acc_latent, acc_hyper, steps, warnings)
+    return McmcResult(beta_out, hyper_out, hyper_names, acc_latent, acc_hyper, warnings)

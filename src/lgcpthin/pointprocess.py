@@ -17,15 +17,14 @@ from lgcpthin.errors import LgcpThinError
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork, distances_to_roads
 
 LOG_INTENSITY_FLOOR = -700.0  # exp underflows to exactly 0 below this
+LOG_INTENSITY_CAP = 20.0  # simulate_lgcp refuses surfaces above this
 
 
 @dataclass(frozen=True)
 class LogIntensitySurface:
-    """log intensity on a grid plus the pieces it was assembled from."""
+    """log intensity on a grid; -inf cells are clipped to the floor."""
 
     raster: RasterGrid
-    beta: tuple[float, ...] = ()
-    covariate_names: tuple[str, ...] = ()
 
     def __post_init__(self):
         vals = self.raster.values
@@ -65,7 +64,7 @@ def make_log_intensity(covariates: dict[str, RasterGrid], beta0: float,
         if fv.shape != (grid.ny, grid.nx):
             raise ValueError("field shape does not match the covariate grid")
         total = total + fv
-    return LogIntensitySurface(RasterGrid(grid, beta0 + total), (beta0,) + tuple(coefs[n] for n in names), names)
+    return LogIntensitySurface(RasterGrid(grid, beta0 + total))
 
 
 @dataclass(frozen=True)
@@ -125,23 +124,22 @@ class IntegrationScheme:
         return self.weights.size
 
 
-def simulate_lgcp(surface: LogIntensitySurface, seed,
-                  log_intensity_cap: float = 20.0) -> PointPattern:
+def simulate_lgcp(surface: LogIntensitySurface, seed) -> PointPattern:
     """Simulate one point pattern from the gridded log intensity.
 
     Each cell's count is Poisson(cell area * exp(log lambda at center)) and
     points land uniformly inside their cell.  Cells with log intensity above
-    ``log_intensity_cap`` abort: they signal a diverging surface, and the
+    ``LOG_INTENSITY_CAP`` abort: they signal a diverging surface, and the
     Poisson draw would overflow.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     grid = surface.grid
     logs = surface.raster.values
-    if np.any(logs > log_intensity_cap):
+    if np.any(logs > LOG_INTENSITY_CAP):
         worst = float(logs.max())
         raise LgcpThinError(
-            f"log intensity {worst:.2f} exceeds cap {log_intensity_cap}; "
-            "check covariate scaling or pass a higher cap")
+            f"log intensity {worst:.2f} exceeds cap {LOG_INTENSITY_CAP}; "
+            "check covariate scaling")
     h = grid.cell_size
     mean = np.exp(logs) * h * h
     counts = rng.poisson(mean)
@@ -160,7 +158,7 @@ def thin(pattern: PointPattern, config: ThinningConfig, roads: RoadNetwork,
     Retained points are unchanged; with ``zeta = 0`` the pattern is returned
     with every point kept.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     if len(pattern) == 0:
         return pattern
     dists = distances_to_roads(pattern.points, roads)

@@ -177,7 +177,7 @@ class ScenarioResult:
 
 def synthetic_roads(domain_size: float, spacing: float, seed) -> RoadNetwork:
     """Connected jittered-lattice road network on a square domain."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     n_lines = max(int(round(domain_size / spacing)), 2)
     offsets = (np.arange(n_lines) + 0.5) * domain_size / n_lines
     n_vert = 9

@@ -132,6 +132,13 @@ class TestFitPredictReport:
         assert med.values.shape == (10, 10)
         assert np.all(sd.values >= 0)
 
+    @pytest.mark.parametrize("flag", [["--model", "vse"], ["--zeta-fixed", "3"], ["--pc-rho0", "9"]])
+    def test_predict_rejects_model_and_prior_flags(self, tmp_path, flag):
+        # predict takes its model and priors from the fit's manifest
+        with pytest.raises(SystemExit) as exc:
+            main(["predict", "--fit", str(tmp_path), *flag, "--out", str(tmp_path / "o")])
+        assert exc.value.code == 2
+
     def test_report_collects_criteria(self, world, fit_dirs):
         out = world["root"] / "report"
         code = main(["report", "--fits", str(fit_dirs["naive"]),
@@ -220,6 +227,45 @@ class TestConfigFile:
         assert code == 0
         manifest = json.loads((explicit / "manifest.json").read_text())
         assert manifest["seed"] == 99  # explicit flag wins
+
+    def test_explicit_flag_at_its_default_wins(self, world, simulated, tmp_path):
+        cfg = tmp_path / "seed.cfg"
+        cfg.write_text("seed = 11\n")
+        out = tmp_path / "thin_seed0"
+        code = main(["thin", "--points", str(simulated / "points.csv"),
+                     "--roads", world["roads"], "--zeta", "2.5",
+                     "--seed", "0", "--config", str(cfg), "--out", str(out)])
+        assert code == 0
+        assert json.loads((out / "manifest.json").read_text())["seed"] == 0
+
+    @pytest.mark.parametrize("command, text, words", [
+        ("thin", "zetta = 5\n", ["'zetta'", "'thin'"]),  # misspelt key
+        ("fit", "model = vsee\n", ["model", "'vsee'"]),   # value outside the choices
+    ])
+    def test_bad_config_rejected(self, world, simulated, tmp_path, capsys,
+                                 command, text, words):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(text)
+        extra = {"thin": ["--roads", world["roads"], "--zeta", "2.5"],
+                 "fit": ["--covariate", f"x1={world['cov']}"]}[command]
+        code = main([command, "--points", str(simulated / "points.csv"), *extra,
+                     "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cfg) in err and all(w in err for w in words)
+
+    def test_repeatable_flag_replaces_config_list(self, world, simulated, tmp_path):
+        # a single config value still counts as a list; a flag replaces it
+        cfg = tmp_path / "cov.cfg"
+        cfg.write_text(f"covariate = x2={world['cov']}\ngrid_res = 20\n")
+        base = ["explore", "--points", str(simulated / "points.csv"),
+                "--roads", world["roads"], "--config", str(cfg)]
+        assert main(base + ["--out", str(tmp_path / "from_cfg")]) == 0
+        assert main(base + ["--covariate", f"x1={world['cov']}",
+                            "--out", str(tmp_path / "from_flag")]) == 0
+        for name, want in (("from_cfg", {"x2"}), ("from_flag", {"x1"})):
+            doc = json.loads((tmp_path / name / "explore.json").read_text())
+            assert set(doc["covariate_distance_correlation"]) == want
 
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         bad = tmp_path / "bad.cfg"

@@ -201,7 +201,7 @@ class TestHyperGrid:
         def lm(v):
             return 0.0  # no curvature anywhere
 
-        grid = hyper_grid(lm, np.array([0.7]), fallback_spread=0.5)
+        grid = hyper_grid(lm, np.array([0.7]))
         assert grid.diagnostics["fallback"]
         assert grid.nodes.shape == (5, 1)
         # fixed grid centered at the search result
@@ -350,11 +350,6 @@ class TestPredict:
         med2, _ = predict_intensity(result, draws=4000, seed=6)
         rel = np.abs(med1.values - med2.values) / np.maximum(np.abs(med2.values), 1e-9)
         assert np.median(rel) < 0.02
-
-    def test_incongruent_grid_rejected(self, small_fit):
-        result, _, _ = small_fit
-        with pytest.raises(ValueError):
-            predict_intensity(result, target_grid=Grid(0, 0, 0.5, 3, 3))
 
 
 class TestMcmc:

@@ -96,7 +96,7 @@ class TestSimulateLgcp:
         with pytest.raises(LgcpThinError, match="cap"):
             simulate_lgcp(surface, 0)
         surface2 = constant_surface(3.0)
-        simulate_lgcp(surface2, 0, log_intensity_cap=20.0)
+        simulate_lgcp(surface2, 0)
 
     def test_surface_validation(self):
         grid = Grid(0.0, 0.0, 0.5, 4, 4)
