@@ -7,39 +7,40 @@ sparse-Cholesky dependency.  Matrices are held in LAPACK lower-banded storage
 ``ab[k, j] = A[j+k, j]``.  ``BorderedPrecision`` extends this to the joint
 precision of (field weights, regression coefficients): a banded block plus a
 small dense border, eliminated by Schur complement.
+
+A band passed to ``BandedCholesky`` (directly or as a ``BorderedPrecision``
+field block) belongs to the factor from then on: a Fortran-ordered
+(column-major) band is factored in place, with no copy, and so holds the
+factor afterwards.  A C-ordered band is copied to column-major storage by the
+LAPACK wrapper and left as it was.  Callers that keep a band pass a copy.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg.blas import dtbmv
 
 from lgcpthin.errors import NotSpdError
 
 
-def _banded_matvec(ab: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """A @ x for symmetric A in lower-banded storage; all-zero diagonals are skipped."""
-    n = ab.shape[1]
-    y = ab[0] * x
-    for k in np.flatnonzero(ab[1:].any(axis=1)) + 1:
-        d = ab[k, : n - k]
-        y[k:] += d * x[: n - k]
-        y[: n - k] += d * x[k:]
-    return y
-
-
 class BandedCholesky:
-    """Cholesky factor of a banded SPD matrix ``A = L L^T``."""
+    """Cholesky factor of a banded SPD matrix ``A = L L^T``.
 
-    def __init__(self, ab_lower: np.ndarray):
-        if np.any(ab_lower[0] <= 0.0) or not np.all(np.isfinite(ab_lower[0])):
+    ``ab`` is A in lower-banded storage, shape (w+1, n).  The factor takes
+    ownership of it: a Fortran-ordered ``ab`` is overwritten with L (also on
+    failure), so the caller must not read it again.  Pass a copy to keep A.
+    """
+
+    def __init__(self, ab: np.ndarray):
+        if np.any(ab[0] <= 0.0) or not np.all(np.isfinite(ab[0])):
             raise NotSpdError("matrix diagonal is not positive and finite")
         try:
-            self._cb = cholesky_banded(ab_lower, lower=True, check_finite=False)
+            self._cb = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NotSpdError(f"banded Cholesky failed: {exc}") from exc
-        self.n = ab_lower.shape[1]
-        self.bandwidth = ab_lower.shape[0] - 1
+        self.n = ab.shape[1]
+        self.bandwidth = ab.shape[0] - 1
         self._lt_storage: np.ndarray | None = None
 
     @property
@@ -60,6 +61,12 @@ class BandedCholesky:
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b (b may carry extra trailing axes as columns)."""
         return cho_solve_banded((self._cb, True), b, check_finite=False)
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        """A @ x for a vector x, as L (L^T x)."""
+        w = self.bandwidth
+        return dtbmv(w, self._cb, dtbmv(w, self._cb, x, lower=1, trans=1), lower=1,
+                     overwrite_x=1)
 
     def solve_lt(self, z: np.ndarray) -> np.ndarray:
         """Solve L^T x = z; for z ~ N(0, I) the result has covariance A^{-1}."""
@@ -83,10 +90,10 @@ class BorderedPrecision:
 
     def __init__(self, hw: np.ndarray | None, hwb: np.ndarray, hbb: np.ndarray):
         """``hw`` is the field block in lower-banded storage, or None when
-        there is no field."""
+        there is no field.  Like ``BandedCholesky``, this takes ownership of
+        ``hw`` and factors a Fortran-ordered one in place."""
         self.n_field = hw.shape[1] if hw is not None else 0
         self.n_coef = hbb.shape[0]
-        self._hw = hw
         self._hbb = np.asarray(hbb, dtype=float)
         self._hwb = np.asarray(hwb, dtype=float).reshape(self.n_field, self.n_coef)
         if self.n_field:
@@ -139,7 +146,7 @@ class BorderedPrecision:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H @ x without forming H densely."""
         xw, xb = x[: self.n_field], x[self.n_field:]
-        top = (_banded_matvec(self._hw, xw) if self.n_field else xw) + self._hwb @ xb
+        top = (self._chol_w.matvec(xw) if self.n_field else xw) + self._hwb @ xb
         bottom = self._hwb.T @ xw + self._hbb @ xb
         return np.concatenate([top, bottom])
 

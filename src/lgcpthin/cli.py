@@ -67,8 +67,9 @@ def _parse_value(raw: str):
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse ``argv``, then again with the ``--config`` file's values as the
     command's defaults: a flag wins whatever its value, a repeated flag replaces
-    the file's list, and a key that names no option of the command, or a value
-    outside an option's choices, is an error."""
+    the file's list, and a key that names no option of the command, a list for
+    an option that takes one value, or a value outside an option's choices, is
+    an error."""
     args = parser.parse_args(argv)
     if not args.config:
         return args
@@ -80,9 +81,13 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     for key, value in cfg.items():
         if key not in actions:
             raise ParseError(f"unknown key {key!r} for '{args.command}'", args.config)
+        many = isinstance(actions[key], argparse._AppendAction) or actions[key].nargs == "+"
+        if isinstance(value, list) and not many:
+            raise ParseError(f"{key} = {value!r} is a list, but '{args.command}' "
+                             f"takes one value for {key!r}", args.config)
         if actions[key].choices and value not in actions[key].choices:
             raise ParseError(f"{key} = {value!r} is not one of {list(actions[key].choices)}", args.config)
-        if isinstance(actions[key], argparse._AppendAction) or actions[key].nargs == "+":
+        if many:
             cfg[key] = value if isinstance(value, list) else [value]
     subparser.set_defaults(**cfg)
     merged = parser.parse_args(argv)

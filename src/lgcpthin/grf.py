@@ -159,7 +159,8 @@ class GmrfPrecision:
 
     @property
     def banded(self) -> np.ndarray:
-        """Q in LAPACK lower-banded storage (bandwidth 2 nx)."""
+        """Q in LAPACK lower-banded storage (bandwidth 2 nx); cached and shared,
+        so it is copied before any factorization."""
         if self._banded is None:
             self._banded = self._ops.assemble_banded(self.params)
         return self._banded
@@ -190,7 +191,7 @@ class GmrfPrecision:
     def chol(self) -> BandedCholesky:
         """Banded Cholesky factor of Q, for sampling."""
         if self._chol is None:
-            self._chol = BandedCholesky(self.banded)
+            self._chol = BandedCholesky(np.array(self.banded, order="F"))
         return self._chol
 
 

@@ -284,7 +284,7 @@ class _ModelContext:
             return BorderedPrecision(None, np.zeros((0, self.n_coef)), hbb)
         hwb = np.zeros((self.n_field, self.n_coef))
         hwb[self.sel_idx] = curvature[:, None] * self.x_nodes
-        hw = prior.banded.copy()
+        hw = np.array(prior.banded, order="F")  # factored in place; the prior's band is kept
         hw[0, self.sel_idx] += curvature
         return BorderedPrecision(hw, hwb, hbb)
 
@@ -360,8 +360,8 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision | None, offsets, u0: n
         eta_n, _ = ctx.eta(u, offsets)
         with np.errstate(over="ignore"):
             curvature = ctx.scheme.weights * np.exp(np.minimum(eta_n, 500.0))
-        hess = ctx.hessian(curvature, prior)
-        step = hess.solve(grad)
+        # unbound, so this step's Hessian is freed before the next is built
+        step = ctx.hessian(curvature, prior).solve(grad)
         accepted = False
         t = 1.0
         for _ in range(30):

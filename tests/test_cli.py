@@ -207,7 +207,7 @@ class TestSimstudyCommand:
 
 
 class TestConfigFile:
-    def test_values_fill_defaults_and_flags_win(self, world, tmp_path):
+    def test_values_fill_defaults_and_flags_win(self, world, simulated, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nseed = 11\nzeta = 2.5\n")
         parsed = read_config(cfg)
@@ -241,6 +241,7 @@ class TestConfigFile:
     @pytest.mark.parametrize("command, text, words", [
         ("thin", "zetta = 5\n", ["'zetta'", "'thin'"]),  # misspelt key
         ("fit", "model = vsee\n", ["model", "'vsee'"]),   # value outside the choices
+        ("thin", "seed = 1, 2\n", ["seed", "'thin'", "list"]),  # list for a scalar
     ])
     def test_bad_config_rejected(self, world, simulated, tmp_path, capsys,
                                  command, text, words):

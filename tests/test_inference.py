@@ -1,6 +1,7 @@
 """Fitting-machinery tests: gradients, Laplace pieces, hyper grid, MCMC."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lgcpthin.inference import (
     ModelSpec,
     _GridMarginal,
     _ModelContext,
+    _newton_mode,
     fit,
     gelman_rubin,
     hyper_grid,
@@ -24,6 +26,7 @@ from lgcpthin.inference import (
     summarize_log_intensity_draws,
 )
 from lgcpthin.pointprocess import make_log_intensity, simulate_lgcp
+from lgcpthin.simstudy import ScenarioConfig, synthetic_assets
 
 UNIT_PC = PcPriorSpec(rho0=0.08, alpha_rho=0.05, sigma0=1.0, alpha_sigma=0.05)
 
@@ -110,6 +113,74 @@ class TestBorderedPrecision:
         draws = bp.sample(np.random.default_rng(0), 40000)
         emp = np.cov(draws)
         np.testing.assert_allclose(emp, np.linalg.inv(h_dense), atol=0.02)
+
+    def test_fortran_ordered_block_is_consumed(self):
+        # a column-major field block is factored in place; matvec then works
+        # from the factor alone
+        rng = np.random.default_rng(8)
+        n, p, w = 40, 2, 6
+        hw = np.zeros((w + 1, n), order="F")
+        hw[0] = 2.0 * w + 1.0 + rng.uniform(0.5, 2.0, size=n)
+        for k in range(1, w + 1):
+            hw[k, : n - k] = rng.uniform(-1.0, 1.0, size=n - k)
+        hw_dense = np.diag(hw[0])
+        for k in range(1, w + 1):
+            hw_dense += np.diag(hw[k, : n - k], -k) + np.diag(hw[k, : n - k], k)
+        hwb = 0.2 * rng.normal(size=(n, p))
+        hbb = np.eye(p) * 4.0
+        h_dense = np.block([[hw_dense, hwb], [hwb.T, hbb]])
+        before = hw.copy()
+        bp = BorderedPrecision(hw, hwb, hbb)
+        assert not np.array_equal(hw, before)  # now holds the factor
+        rhs = rng.normal(size=n + p)
+        np.testing.assert_allclose(bp.matvec(rhs), h_dense @ rhs, atol=1e-10)
+        np.testing.assert_allclose(bp.solve(rhs), np.linalg.solve(h_dense, rhs), atol=1e-10)
+        assert bp.logdet() == pytest.approx(np.linalg.slogdet(h_dense)[1], rel=1e-12)
+
+
+@pytest.fixture(scope="module")
+def study_field_ctx():
+    """Naive-model context on the default study geometry (a 46 x 46 field)."""
+    config = ScenarioConfig()
+    assets = synthetic_assets(config)
+    bbox = assets.grid.bbox
+    rng = np.random.default_rng(12)
+    points = rng.uniform(bbox[:2], bbox[2:], size=(300, 2))
+    spec = ModelSpec(covariate_names=(assets.covariate_name,), pc_prior=config.pc_prior)
+    ctx = _ModelContext(PointPattern(points, bbox), assets.covariates, None, spec)
+    assert ctx.n_field == 46 * 46
+    prior = ctx.field_precision(math.log(config.true_rho), math.log(config.true_sigma))
+    curvature = ctx.scheme.weights * math.exp(-4.0)
+    return ctx, prior, curvature
+
+
+class TestHessianStorage:
+    """The Hessian band is one private copy, factored in place."""
+
+    def test_prior_band_never_written(self, study_field_ctx):
+        # factoring the cached prior band in place would corrupt every later
+        # Newton step at that hyper vector
+        ctx, prior, curvature = study_field_ctx
+        band = prior.banded.tobytes()
+        ctx.hessian(curvature, prior)
+        assert prior.banded.tobytes() == band
+        prior.chol()
+        assert prior.banded.tobytes() == band
+        _newton_mode(ctx, prior, ctx.offsets(0.0), np.zeros(ctx.n_field + ctx.n_coef))
+        assert prior.banded.tobytes() == band
+
+    def test_hessian_holds_one_band(self, study_field_ctx):
+        ctx, prior, curvature = study_field_ctx
+        nbytes = prior.banded.nbytes
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hess = ctx.hessian(curvature, prior)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert hess.n_field == ctx.n_field
+        assert held <= 1.25 * nbytes
 
 
 class _RowFeed:
