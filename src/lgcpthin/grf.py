@@ -279,6 +279,8 @@ def sample_field(precision: GmrfPrecision, seed, size: int = 1) -> np.ndarray:
 
 def extension_margin(grid: Grid, params: MaternParams, extension_factor: float) -> int:
     """Number of padding cells so the pad is >= extension_factor * rho."""
+    if not (math.isfinite(extension_factor) and extension_factor >= 0):
+        raise ValueError(f"extension_factor must be finite and >= 0, got {extension_factor}")
     return int(math.ceil(extension_factor * params.rho / grid.cell_size))
 
 

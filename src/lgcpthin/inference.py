@@ -58,6 +58,9 @@ class ModelSpec:
 
     ``zeta_fixed`` pins the thinning rate instead of estimating it; the value
     0 encodes q = 1 everywhere, which reduces the VSE model to the naive one.
+    ``extension_factor`` pads the latent field by that many prior-median
+    ranges per side; one range is where the Neumann boundary's variance
+    inflation has died out, so more padding only costs factorization time.
     """
 
     covariate_names: tuple[str, ...]
@@ -67,7 +70,7 @@ class ModelSpec:
     theta_prior: NormalPrior = NormalPrior(1.0, 0.05)
     include_field: bool = True
     zeta_fixed: float | None = None
-    extension_factor: float = 1.5
+    extension_factor: float = 1.0
     grid_points_per_dim: int = 5
 
     def hyper_names(self) -> tuple[str, ...]:
@@ -728,6 +731,15 @@ class FitResult:
         if "hyper" not in data.files:
             raise ValueError("fit_nodes.npz has no 'hyper' array: it was saved in an "
                              "older format; fit the model again")
+        # a fit saved under another extension_factor or grid would otherwise
+        # load and fail later, as a broadcast error in predict_intensity
+        for key, want in (("mode", ctx.n_field + ctx.n_coef), ("curvature", ctx.n_cells)):
+            have = data[key].shape[1]
+            if have != want:
+                raise ValueError(
+                    f"fit_nodes.npz '{key}' has {have} entries per node but this spec "
+                    f"and data give {want}: the fit was saved with another "
+                    "extension_factor or grid; fit the model again")
         nodes = []
         for k in range(data["weight"].size):
             hyper, curvature = data["hyper"][k], data["curvature"][k]

@@ -254,6 +254,14 @@ class TestSampleField:
         f3 = sample_field(prec, seed=43)
         assert not np.array_equal(f1, f3)
 
+    @pytest.mark.parametrize("factor", [-0.5, math.nan, -math.inf])
+    def test_bad_extension_factor_rejected(self, factor):
+        # -0.5 would otherwise crop a 2 x 2 field out of the 20 x 20 grid
+        grid = Grid(0.0, 0.0, 1.0, 20, 20)
+        with pytest.raises(ValueError, match=f"extension_factor .* got {factor}"):
+            sample_matern_field(grid, MaternParams(sigma=1.0, rho=4.0), seed=1,
+                                extension_factor=factor)
+
     def test_banded_cholesky_against_dense(self):
         grid = Grid(0.0, 0.0, 0.2, 6, 5)
         prec = build_precision(grid, MaternParams(sigma=1.0, rho=0.5))

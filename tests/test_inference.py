@@ -140,7 +140,7 @@ class TestBorderedPrecision:
 
 @pytest.fixture(scope="module")
 def study_field_ctx():
-    """Naive-model context on the default study geometry (a 46 x 46 field)."""
+    """Naive-model context on the default study geometry (a 38 x 38 field)."""
     config = ScenarioConfig()
     assets = synthetic_assets(config)
     bbox = assets.grid.bbox
@@ -148,7 +148,7 @@ def study_field_ctx():
     points = rng.uniform(bbox[:2], bbox[2:], size=(300, 2))
     spec = ModelSpec(covariate_names=(assets.covariate_name,), pc_prior=config.pc_prior)
     ctx = _ModelContext(PointPattern(points, bbox), assets.covariates, None, spec)
-    assert ctx.n_field == 46 * 46
+    assert ctx.n_field == 38 * 38
     prior = ctx.field_precision(math.log(config.true_rho), math.log(config.true_sigma))
     curvature = ctx.scheme.weights * math.exp(-4.0)
     return ctx, prior, curvature
@@ -376,6 +376,31 @@ class TestFit:
         np.savez_compressed(path, **old)
         with pytest.raises(ValueError, match="older format"):
             FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+
+    def test_load_rejects_other_extension(self, naive_spec, tmp_path):
+        # a wider padding saves a longer latent vector per node
+        pattern, covs, _ = unit_square_data(seed=3)
+        wide = ModelSpec(covariate_names=("x1",), pc_prior=UNIT_PC, extension_factor=1.5)
+        fit(pattern, covs, None, wide).save(tmp_path)
+        with pytest.raises(ValueError, match="'mode' has 678 entries .* give 486"):
+            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+
+    def test_load_rejects_other_cell_count(self, small_fit, naive_spec, tmp_path):
+        result, pattern, covs = small_fit
+        result.save(tmp_path)
+        path = tmp_path / "fit_nodes.npz"
+        data = dict(np.load(path))
+        data["curvature"] = data["curvature"][:, :-1]
+        np.savez_compressed(path, **data)
+        with pytest.raises(ValueError, match="'curvature' has 143 entries .* give 144"):
+            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+
+    @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
+    def test_bad_extension_factor_rejected(self, factor):
+        pattern, covs, _ = unit_square_data(seed=1)
+        spec = ModelSpec(covariate_names=("x1",), pc_prior=UNIT_PC, extension_factor=factor)
+        with pytest.raises(ValueError, match=f"extension_factor .* got {factor}"):
+            fit(pattern, covs, None, spec)
 
     @pytest.mark.parametrize("model, zeta", [
         (dict(), 0.0),
