@@ -119,8 +119,7 @@ def pointwise_table(fit_result, n_samples: int = 200, seed=0) -> PointwiseLikeli
     rng = np.random.default_rng(seed)
     ctx = fit_result._ctx
     u, node_idx = fit_result.sample_latent(rng, n_samples)
-    zeros = (np.zeros(ctx.n_cells), np.zeros(ctx.n_points))
-    eta_n, eta_p = ctx.eta_many(u, zeros)
+    eta_n, eta_p = ctx.eta_many(u)
     if ctx.spec.use_vse:
         for k in np.unique(node_idx):
             off_n, off_p = ctx.offsets(fit_result.nodes[int(k)].zeta)

@@ -424,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-size", type=float, default=150.0)
     p.add_argument("--self-test", action="store_true")
     p.add_argument("--threads", type=int, default=1,
-                   help="replicates in parallel threads of one interpreter (speed-up 0.99 with 2)")
+                   help="replicates in parallel threads of one interpreter")
     _add_common(p)
     p.set_defaults(func=cmd_simstudy)
 

@@ -270,11 +270,6 @@ def distances_to_roads(points: np.ndarray, roads: RoadNetwork) -> np.ndarray:
     return out
 
 
-def distance_to_roads(point, roads: RoadNetwork) -> float:
-    """Exact distance from a single (x, y) location to the road network."""
-    return float(distances_to_roads(np.asarray(point, dtype=float).reshape(1, 2), roads)[0])
-
-
 def distance_raster(grid: Grid, roads: RoadNetwork) -> RasterGrid:
     """Distance to the road network evaluated at every cell center."""
     dists = distances_to_roads(grid.cell_centers(), roads)

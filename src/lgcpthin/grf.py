@@ -62,10 +62,6 @@ def tau_from_sigma(sigma: float, kappa: float) -> float:
     return 1.0 / (2.0 * math.sqrt(math.pi) * kappa * sigma)
 
 
-def sigma_from_tau(tau: float, kappa: float) -> float:
-    return 1.0 / (2.0 * math.sqrt(math.pi) * kappa * tau)
-
-
 def matern_cov(distance, params: MaternParams):
     """Matern covariance at the given lag(s); equals sigma^2 at lag zero.
 

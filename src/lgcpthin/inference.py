@@ -33,7 +33,7 @@ from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.errors import FitError, NotSpdError
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork, distances_to_roads, distance_raster
 from lgcpthin.grf import GmrfPrecision, MaternParams, PcPriorSpec, _LatticeOperators, extension_margin, pc_prior_logdensity
-from lgcpthin.pointprocess import IntegrationScheme
+from lgcpthin.pointprocess import IntegrationScheme, _cox_loglik
 
 __all__ = [
     "ChainConfig", "FitResult", "HyperNode", "McmcResult", "ModelSpec",
@@ -227,12 +227,12 @@ class _ModelContext:
             eta_p = eta_p + omega[self.obs_idx]
         return eta_n, eta_p
 
-    def eta_many(self, u: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
-        """Same for a (n, S) matrix of latent draws; returns (cells, S), (points, S)."""
-        off_n, off_p = offsets
+    def eta_many(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Linear predictor without the access offset for a (n, S) matrix of
+        latent draws; returns (cells, S), (points, S)."""
         beta = u[self.n_field:, :]
-        eta_n = self.x_nodes @ beta + off_n[:, None]
-        eta_p = self.x_points @ beta + off_p[:, None]
+        eta_n = self.x_nodes @ beta
+        eta_p = self.x_points @ beta
         if self.spec.include_field:
             omega = u[: self.n_field, :]
             eta_n = eta_n + omega[self.sel_idx, :]
@@ -241,9 +241,8 @@ class _ModelContext:
 
     def loglik(self, u: np.ndarray, offsets) -> float:
         eta_n, eta_p = self.eta(u, offsets)
-        with np.errstate(over="ignore"):
-            integral = float(self.scheme.weights @ np.exp(eta_n))
-        return -integral + float(eta_p.sum())
+        with np.errstate(over="ignore"):  # overflow gives -inf; the line search rejects it
+            return _cox_loglik(self.scheme.weights, eta_n, eta_p)
 
     def loglik_grad(self, u: np.ndarray, offsets) -> np.ndarray:
         eta_n, _ = self.eta(u, offsets)
@@ -277,6 +276,17 @@ class _ModelContext:
             val += -0.5 * float(omega @ q_omega)
             return val, np.concatenate([-q_omega, grad_beta])
         return val, grad_beta
+
+    def log_post(self, u: np.ndarray, prior: GmrfPrecision | None, offsets):
+        """Latent log-posterior (up to a constant) and its prior gradient."""
+        val, prior_grad = self.prior_quad_and_grad(u, prior)
+        return self.loglik(u, offsets) + val, prior_grad
+
+    def curvature(self, u: np.ndarray, offsets) -> np.ndarray:
+        """Poisson weights ``w_i exp(eta_i)``, capped so they stay finite."""
+        eta_n, _ = self.eta(u, offsets)
+        with np.errstate(over="ignore"):
+            return self.scheme.weights * np.exp(np.minimum(eta_n, 500.0))
 
     def hessian(self, curvature: np.ndarray, prior: GmrfPrecision | None) -> BorderedPrecision:
         """Negated Hessian of the penalized objective at Poisson weights
@@ -347,29 +357,22 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision | None, offsets, u0: n
     Returns (mode, hessian, curvature weights, objective). The objective must
     strictly increase on every accepted step (halving line search).
     """
-    def objective(u):
-        val, grad = ctx.prior_quad_and_grad(u, prior)
-        return ctx.loglik(u, offsets) + val, grad
-
     u = u0.copy()
-    f_val, prior_grad = objective(u)
+    f_val, prior_grad = ctx.log_post(u, prior, offsets)
     if not np.isfinite(f_val):
         u = np.zeros_like(u0)
-        f_val, prior_grad = objective(u)
+        f_val, prior_grad = ctx.log_post(u, prior, offsets)
     for _ in range(_MAX_NEWTON_ITER):
         grad = ctx.loglik_grad(u, offsets) + prior_grad
         if np.max(np.abs(grad)) < _NEWTON_TOL:
             break
-        eta_n, _ = ctx.eta(u, offsets)
-        with np.errstate(over="ignore"):
-            curvature = ctx.scheme.weights * np.exp(np.minimum(eta_n, 500.0))
         # unbound, so this step's Hessian is freed before the next is built
-        step = ctx.hessian(curvature, prior).solve(grad)
+        step = ctx.hessian(ctx.curvature(u, offsets), prior).solve(grad)
         accepted = False
         t = 1.0
         for _ in range(30):
             u_new = u + t * step
-            f_new, prior_grad_new = objective(u_new)
+            f_new, prior_grad_new = ctx.log_post(u_new, prior, offsets)
             if np.isfinite(f_new) and f_new > f_val:
                 u, f_val, prior_grad = u_new, f_new, prior_grad_new
                 accepted = True
@@ -386,11 +389,8 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision | None, offsets, u0: n
             raise FitError(
                 f"Newton did not converge in {_MAX_NEWTON_ITER} iterations "
                 f"(|grad|_max = {np.max(np.abs(grad)):.3e})")
-    eta_n, _ = ctx.eta(u, offsets)
-    with np.errstate(over="ignore"):
-        curvature = ctx.scheme.weights * np.exp(np.minimum(eta_n, 500.0))
-    hess = ctx.hessian(curvature, prior)
-    return u, hess, curvature, f_val
+    curvature = ctx.curvature(u, offsets)
+    return u, ctx.hessian(curvature, prior), curvature, f_val
 
 
 def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None) -> HyperNode | None:
@@ -822,7 +822,7 @@ def predict_intensity(result: FitResult, draws: int = 1000, seed=0):
     """
     ctx = result._ctx
     u, _ = result.sample_latent(np.random.default_rng(seed), draws)
-    eta_n, _ = ctx.eta_many(u, (np.zeros(ctx.n_cells), np.zeros(ctx.n_points)))
+    eta_n, _ = ctx.eta_many(u)
     return summarize_log_intensity_draws(eta_n, ctx.grid)
 
 
@@ -847,9 +847,6 @@ class McmcResult:
 
     def beta_mean(self) -> np.ndarray:
         return self.beta.reshape(-1, self.beta.shape[-1]).mean(axis=0)
-
-    def beta_sd(self) -> np.ndarray:
-        return self.beta.reshape(-1, self.beta.shape[-1]).std(axis=0, ddof=1)
 
 
 def gelman_rubin(chains: np.ndarray) -> float:
@@ -923,17 +920,8 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
 
         prior = ctx.prior_at(v)
         offsets = ctx.offsets(ctx.zeta_of(v))
-
-        def log_post_latent(u_vec):
-            val, _ = ctx.prior_quad_and_grad(u_vec, prior)
-            return ctx.loglik(u_vec, offsets) + val
-
-        def grad_latent(u_vec):
-            _, g_prior = ctx.prior_quad_and_grad(u_vec, prior)
-            return ctx.loglik_grad(u_vec, offsets) + g_prior
-
-        lp = log_post_latent(u)
-        g = grad_latent(u)
+        lp, g_prior = ctx.log_post(u, prior, offsets)
+        g = ctx.loglik_grad(u, offsets) + g_prior
         n_acc_l = n_acc_h = 0
         n_try_l = n_try_h = 0
         epoch_acc_l = epoch_acc_h = epoch_n = 0
@@ -943,9 +931,9 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             drift = 0.5 * eps * eps * mass.solve(g)
             mean_fwd = u + drift
             u_prop = mean_fwd + eps * mass.sample(rng, 1)[:, 0]
-            lp_prop = log_post_latent(u_prop)
+            lp_prop, g_prior = ctx.log_post(u_prop, prior, offsets)
             if np.isfinite(lp_prop):
-                g_prop = grad_latent(u_prop)
+                g_prop = ctx.loglik_grad(u_prop, offsets) + g_prior
                 mean_rev = u_prop + 0.5 * eps * eps * mass.solve(g_prop)
                 d_fwd = u_prop - mean_fwd
                 d_rev = u - mean_rev
@@ -982,8 +970,8 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
                     v = v_prop
                     prior = prior_p
                     offsets = offsets_p
-                    lp = log_post_latent(u)
-                    g = grad_latent(u)
+                    lp, g_prior = ctx.log_post(u, prior, offsets)
+                    g = ctx.loglik_grad(u, offsets) + g_prior
                     n_acc_h += 1
                 epoch_acc_h += int(accept_h)
 

@@ -181,5 +181,10 @@ def loglik_lgcp(pattern: PointPattern, log_intensity_at_nodes,
         raise ValueError("node values do not align with the integration scheme")
     if eta_p.size != len(pattern):
         raise ValueError("point values do not align with the pattern")
-    integral = float(scheme.weights @ np.exp(eta_n))
-    return -integral + float(eta_p.sum())
+    return _cox_loglik(scheme.weights, eta_n, eta_p)
+
+
+def _cox_loglik(weights: np.ndarray, eta_n: np.ndarray, eta_p: np.ndarray) -> float:
+    """``-w . exp(eta_n) + sum(eta_p)``; the fit calls this too, so the checks
+    on :func:`loglik_lgcp` cover the likelihood the fit runs."""
+    return -float(weights @ np.exp(eta_n)) + float(eta_p.sum())

@@ -226,7 +226,7 @@ def expected_removal(zeta: float, assets: DomainAssets, config: ScenarioConfig) 
     The latent field is independent of road distance, so its lognormal mean
     factor cancels from the ratio.
     """
-    cov = assets.sim_covariates[assets.covariate_name].values.ravel()
+    cov = assets.covariates[assets.covariate_name].values.ravel()
     lam = np.exp(config.true_beta0 + config.true_beta1 * cov)
     q = np.exp(-zeta * assets.distance_values ** 2 / 2.0)
     return float(1.0 - (lam @ q) / lam.sum())
@@ -272,14 +272,26 @@ def _truth(config: ScenarioConfig, zeta: float) -> dict[str, float]:
             "rho": config.true_rho, "sigma": config.true_sigma, "zeta": zeta}
 
 
+def _row(s_idx, zeta, model, param, rep, draws, truth, lo, hi, estimate) -> dict:
+    """One result row: a parameter's draws and interval scored against the truth."""
+    return {
+        "scenario_index": s_idx, "scenario": zeta, "model": model,
+        "parameter": param, "replicate": rep,
+        "bias": float(np.mean(draws - truth)),
+        "rmse": float(np.sqrt(np.mean((draws - truth) ** 2))),
+        "covered": bool(lo <= truth <= hi),
+        "ci_lo": float(lo), "ci_hi": float(hi),
+        "ci_width": float(hi - lo), "estimate": estimate}
+
+
 def _one_replicate(args):
     (config, assets, s_idx, zeta, rep, seeds) = args
     rng = np.random.default_rng(seeds)
     truth = _truth(config, zeta)
     params = MaternParams(sigma=config.true_sigma, rho=config.true_rho)
-    field = sample_matern_field(assets.sim_grid, params, rng)
+    field = sample_matern_field(assets.grid, params, rng)
     surface = make_log_intensity(
-        assets.sim_covariates, config.true_beta0,
+        assets.covariates, config.true_beta0,
         {assets.covariate_name: config.true_beta1}, field)
     pattern = simulate_lgcp(surface, rng)
     if zeta > 0:
@@ -308,14 +320,8 @@ def _one_replicate(args):
         if config.self_test:
             for param in param_names:
                 t = truth[param]
-                draws = np.full(n_draws, t)
-                rows.append({
-                    "scenario_index": s_idx, "scenario": zeta, "model": model,
-                    "parameter": param, "replicate": rep,
-                    "bias": float(np.mean(draws - t)),
-                    "rmse": float(np.sqrt(np.mean((draws - t) ** 2))),
-                    "covered": True, "ci_lo": t, "ci_hi": t,
-                    "ci_width": 0.0, "estimate": t})
+                rows.append(_row(s_idx, zeta, model, param, rep,
+                                 np.full(n_draws, t), t, t, t, t))
             continue
         try:
             result = fit(pattern, assets.covariates, assets.roads, spec)
@@ -330,15 +336,8 @@ def _one_replicate(args):
             t = truth[param]
             draws = result.draw_parameter(name, rng, n_draws)
             lo, hi = result.credible_interval(name, level)
-            rows.append({
-                "scenario_index": s_idx, "scenario": zeta, "model": model,
-                "parameter": param, "replicate": rep,
-                "bias": float(np.mean(draws - t)),
-                "rmse": float(np.sqrt(np.mean((draws - t) ** 2))),
-                "covered": bool(lo <= t <= hi),
-                "ci_lo": float(lo), "ci_hi": float(hi),
-                "ci_width": float(hi - lo),
-                "estimate": result.summaries[name]["mean"]})
+            rows.append(_row(s_idx, zeta, model, param, rep, draws, t, lo, hi,
+                             result.summaries[name]["mean"]))
             draws_store[(s_idx, model, param, rep)] = draws
         if config.score_fits:
             scores = assess.score(result, n_samples=max(n_draws, 100), seed=rng)

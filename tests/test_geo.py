@@ -16,12 +16,16 @@ from lgcpthin.geo import (
     RasterGrid,
     RoadNetwork,
     distance_raster,
-    distance_to_roads,
     distances_to_roads,
     ecdf,
     ks_two_sample,
     pearson_corr,
 )
+
+
+def distance_to_roads(point, roads: RoadNetwork) -> float:
+    """Exact distance from a single (x, y) location to the road network."""
+    return float(distances_to_roads(np.asarray(point, dtype=float).reshape(1, 2), roads)[0])
 
 
 @pytest.fixture

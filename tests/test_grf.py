@@ -21,9 +21,13 @@ from lgcpthin.grf import (
     pc_prior_logdensity,
     sample_field,
     sample_matern_field,
-    sigma_from_tau,
     tau_from_sigma,
 )
+
+
+def sigma_from_tau(tau: float, kappa: float) -> float:
+    """Inverse of ``tau_from_sigma`` in sigma."""
+    return 1.0 / (2.0 * math.sqrt(math.pi) * kappa * tau)
 
 
 def bessel_k1_quadrature(x: float) -> float:

@@ -25,7 +25,7 @@ from lgcpthin.inference import (
     predict_intensity,
     summarize_log_intensity_draws,
 )
-from lgcpthin.pointprocess import make_log_intensity, simulate_lgcp
+from lgcpthin.pointprocess import loglik_lgcp, make_log_intensity, simulate_lgcp
 from lgcpthin.simstudy import ScenarioConfig, synthetic_assets
 
 UNIT_PC = PcPriorSpec(rho0=0.08, alpha_rho=0.05, sigma0=1.0, alpha_sigma=0.05)
@@ -86,6 +86,20 @@ class TestGradient:
             e[c] = h
             fd = (objective(u + e) - objective(u - e)) / (2 * h)
             assert grad[c] == pytest.approx(fd, rel=1e-5, abs=1e-7)
+
+
+class TestLikelihood:
+    @pytest.mark.parametrize("use_vse", [False, True], ids=["naive", "vse"])
+    def test_fit_loglik_is_loglik_lgcp(self, use_vse, unit_roads):
+        # the fit runs the likelihood that criterion 4 checks, bit for bit
+        pattern, covs, _ = unit_square_data(seed=5, n=8)
+        spec = ModelSpec(covariate_names=("x1",), use_vse=use_vse, pc_prior=UNIT_PC)
+        ctx = _ModelContext(pattern, covs, unit_roads, spec)
+        offsets = ctx.offsets(2.0)
+        assert bool(np.any(offsets[1] != 0.0)) == use_vse
+        u = 0.3 * np.random.default_rng(19).standard_normal(ctx.n_field + ctx.n_coef)
+        eta_n, eta_p = ctx.eta(u, offsets)
+        assert ctx.loglik(u, offsets) == loglik_lgcp(pattern, eta_n, eta_p, ctx.scheme)
 
 
 class TestBorderedPrecision:
@@ -457,7 +471,7 @@ class TestMcmc:
         mcmc = mcmc_fit(pattern, covs, None, spec,
                         ChainConfig(n_iter=5000, n_burn=1500), chains=2, seed=4)
         means = mcmc.beta_mean()
-        sds = mcmc.beta_sd()
+        sds = mcmc.beta.reshape(-1, mcmc.beta.shape[-1]).std(axis=0, ddof=1)
         for j, name in enumerate(("beta0", "x1")):
             assert means[j] == pytest.approx(laplace.summaries[name]["mean"],
                                              abs=0.05 * laplace.summaries[name]["sd"])
