@@ -13,15 +13,114 @@ field block) belongs to the factor from then on: a Fortran-ordered
 (column-major) band is factored in place, with no copy, and so holds the
 factor afterwards.  A C-ordered band is copied to column-major storage by the
 LAPACK wrapper and left as it was.  Callers that keep a band pass a copy.
+
+The factorizations here run slower on OpenBLAS's threads than on one (a VSE
+fit on the default study geometry: 3.0 s on two threads, 2.3 s on one, on a
+2-vCPU machine), so the package's numerical entry points run under
+``_one_blas_thread``, which pins every loaded OpenBLAS to one thread and
+gives the caller's count back on the way out.
 """
 
 from __future__ import annotations
+
+import contextlib
+import ctypes
+import os
+import threading
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, solve_banded
 from scipy.linalg.blas import dtbmv
 
 from lgcpthin.errors import NotSpdError
+
+# (setter, getter) per OpenBLAS build: numpy's wheel, scipy's wheel, a system library
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("scipy_openblas_set_num_threads", "scipy_openblas_get_num_threads"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _loaded_openblas() -> list[tuple]:
+    """(setter, getter) of each OpenBLAS already loaded in this process.
+
+    Shared objects are listed with ``dl_iterate_phdr``; where the C library
+    has none (macOS, Windows) the list is empty and nothing is pinned.
+    """
+    class Info(ctypes.Structure):
+        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
+
+    callback = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(Info), ctypes.c_size_t,
+                                ctypes.c_void_p)
+    paths = []
+
+    @callback
+    def collect(info, size, data):
+        name = os.fsdecode(info.contents.name or b"")
+        if "openblas" in os.path.basename(name):
+            paths.append(name)
+        return 0
+
+    try:
+        iterate = ctypes.CDLL(None).dl_iterate_phdr
+    except (AttributeError, OSError, TypeError):
+        return []
+    iterate.argtypes, iterate.restype = [callback, ctypes.c_void_p], ctypes.c_int
+    iterate(collect, None)
+    libs = []
+    for path in paths:
+        try:  # RTLD_NOLOAD: a handle to the loaded copy, never a new load
+            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LOCAL)
+        except OSError:
+            continue
+        for set_name, get_name in _OPENBLAS_SYMBOLS:
+            if hasattr(lib, set_name) and hasattr(lib, get_name):
+                set_n, get_n = getattr(lib, set_name), getattr(lib, get_name)
+                set_n.argtypes, set_n.restype = [ctypes.c_int], None
+                get_n.argtypes, get_n.restype = [], ctypes.c_int
+                libs.append((set_n, get_n))
+                break
+    return libs
+
+
+class _OneBlasThread(contextlib.ContextDecorator):
+    """Run the body (or a decorated function) with every OpenBLAS on one thread.
+
+    The outermost entry records each library's thread count and sets it to 1;
+    the outermost exit, by return or exception, sets the recorded counts
+    back.  Nested entries, and entries from other threads while one is
+    active, only move a counter under a lock.  Libraries are looked up on the
+    first entry, not at import.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._libs: list[tuple] | None = None
+        self._saved: list[tuple] = []
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                if self._libs is None:
+                    self._libs = _loaded_openblas()
+                self._saved = [(set_n, get_n()) for set_n, get_n in self._libs]
+                for set_n, _ in self._saved:
+                    set_n(1)
+            self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0:
+                for set_n, count in self._saved:
+                    set_n(count)
+
+
+# one instance for the process, because the thread count it guards is global
+_one_blas_thread = _OneBlasThread()
 
 
 class BandedCholesky:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import k1
 
-from lgcpthin.cholesky import BandedCholesky
+from lgcpthin.cholesky import BandedCholesky, _one_blas_thread
 from lgcpthin.geo import Grid
 
 NU = 1.0  # smoothness is fixed; the stencil below is specific to this value
@@ -280,6 +280,7 @@ def extension_margin(grid: Grid, params: MaternParams, extension_factor: float) 
     return int(math.ceil(extension_factor * params.rho / grid.cell_size))
 
 
+@_one_blas_thread
 def sample_matern_field(grid: Grid, params: MaternParams, seed,
                         size: int = 1, extension_factor: float = 1.5) -> np.ndarray:
     """Sample the field on ``grid`` with boundary extension and cropping.

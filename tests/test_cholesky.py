@@ -1,0 +1,195 @@
+"""The one-BLAS-thread pin: one thread inside, the caller's count after.
+
+A spy on ``BandedCholesky.__init__`` records the thread count of every
+loaded OpenBLAS at each factorization, so the entry-point tests prove that
+no factorization reached from the package's numerical entry points runs
+threaded.  Everything here is skipped when no OpenBLAS is loaded.
+"""
+
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from lgcpthin import assess
+from lgcpthin.cholesky import BandedCholesky, _loaded_openblas, _one_blas_thread
+from lgcpthin.geo import Grid, RasterGrid, RoadNetwork
+from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
+from lgcpthin.inference import ChainConfig, FitResult, ModelSpec, fit, mcmc_fit, predict_intensity
+from lgcpthin.pointprocess import make_log_intensity, simulate_lgcp
+from lgcpthin.simstudy import ScenarioConfig, run_scenarios
+
+LIBS = _loaded_openblas()
+pytestmark = pytest.mark.skipif(not LIBS, reason="no OpenBLAS loaded in this process")
+
+FAST = dict(zeta_levels=(0.0, 16.0), replicates=1, grid_n=12, domain_size=90.0,
+            posterior_draws_per_fit=100)
+UNIT_PC = PcPriorSpec(rho0=0.08, alpha_rho=0.05, sigma0=1.0, alpha_sigma=0.05)
+
+
+def thread_counts() -> list[int]:
+    return [get_n() for _, get_n in LIBS]
+
+
+@pytest.fixture
+def caller_counts():
+    """Give every library 3 threads (neither 1 nor a usual default), and the
+    original counts back after the test; yields the counts as read back."""
+    before = thread_counts()
+    for set_n, _ in LIBS:
+        set_n(3)
+    yield thread_counts()
+    for (set_n, _), count in zip(LIBS, before):
+        set_n(count)
+
+
+@pytest.fixture
+def factor_counts(monkeypatch):
+    """Thread counts seen by each BandedCholesky factorization."""
+    seen = []
+    original = BandedCholesky.__init__
+
+    def spy(self, ab):
+        seen.append(thread_counts())
+        original(self, ab)
+
+    monkeypatch.setattr(BandedCholesky, "__init__", spy)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def unit_data():
+    n = 10
+    grid = Grid(0.0, 0.0, 1.0 / n, n, n)
+    centers = grid.cell_centers()
+    vals = np.cos(4.0 * centers[:, 0]) + 0.6 * np.sin(3.0 * centers[:, 1])
+    cov = {"x1": RasterGrid(grid, ((vals - vals.mean()) / vals.std()).reshape(n, n))}
+    field = sample_matern_field(grid, MaternParams(sigma=0.7, rho=0.22), seed=3)
+    pattern = simulate_lgcp(make_log_intensity(cov, 5.0, {"x1": 0.8}, field), 4)
+    roads = RoadNetwork((np.array([[0.0, 0.3], [1.0, 0.3]]),
+                         np.array([[0.6, 0.0], [0.6, 1.0]])))
+    return pattern, cov, roads
+
+
+def _spec(use_vse: bool) -> ModelSpec:
+    return ModelSpec(covariate_names=("x1",), use_vse=use_vse, pc_prior=UNIT_PC)
+
+
+@pytest.fixture(scope="module")
+def vse_fit(unit_data):
+    pattern, cov, roads = unit_data
+    return fit(pattern, cov, roads, _spec(True))
+
+
+class TestPin:
+    def test_one_inside_caller_count_after(self, caller_counts):
+        with _one_blas_thread:
+            assert thread_counts() == [1] * len(LIBS)
+        assert thread_counts() == caller_counts
+
+    def test_nested_entries_keep_the_pin(self, caller_counts):
+        with _one_blas_thread:
+            with _one_blas_thread:
+                assert thread_counts() == [1] * len(LIBS)
+            assert thread_counts() == [1] * len(LIBS)
+        assert thread_counts() == caller_counts
+
+    def test_restored_after_exception(self, caller_counts):
+        @_one_blas_thread
+        def fails():
+            assert thread_counts() == [1] * len(LIBS)
+            raise RuntimeError("inside")
+
+        with pytest.raises(RuntimeError, match="inside"):
+            fails()
+        assert thread_counts() == caller_counts
+
+    def test_last_thread_out_restores(self, caller_counts):
+        entered, release = threading.Event(), threading.Event()
+
+        def worker():
+            with _one_blas_thread:
+                entered.set()
+                release.wait(10)
+
+        t = threading.Thread(target=worker)
+        with _one_blas_thread:
+            t.start()
+            assert entered.wait(10)
+        # this thread left first; the worker still holds the pin
+        assert thread_counts() == [1] * len(LIBS)
+        release.set()
+        t.join(10)
+        assert thread_counts() == caller_counts
+
+
+    def test_stress_many_threads(self, caller_counts):
+        wrong = []
+
+        def worker():
+            for _ in range(500):
+                time.sleep(0)  # let the pin fall to zero between entries
+                with _one_blas_thread:
+                    counts = thread_counts()
+                    if counts != [1] * len(LIBS):
+                        wrong.append(counts)
+
+        workers = [threading.Thread(target=worker) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert wrong == []
+        assert thread_counts() == caller_counts
+
+
+class TestEntryPointsFactorOnOneThread:
+    @staticmethod
+    def _check(seen, caller_counts):
+        assert seen, "no factorization was reached"
+        assert all(c == [1] * len(LIBS) for c in seen)
+        assert thread_counts() == caller_counts
+
+    @pytest.mark.parametrize("use_vse", [False, True], ids=["naive", "vse"])
+    def test_fit(self, unit_data, use_vse, caller_counts, factor_counts):
+        pattern, cov, roads = unit_data
+        fit(pattern, cov, roads, _spec(use_vse))
+        self._check(factor_counts, caller_counts)
+
+    def test_predict_intensity(self, vse_fit, caller_counts, factor_counts):
+        predict_intensity(vse_fit, draws=50, seed=1)
+        self._check(factor_counts, caller_counts)
+
+    def test_score(self, vse_fit, caller_counts, factor_counts):
+        assess.score(vse_fit, n_samples=100, seed=1)
+        self._check(factor_counts, caller_counts)
+
+    def test_load(self, unit_data, vse_fit, tmp_path, caller_counts, factor_counts):
+        pattern, cov, roads = unit_data
+        vse_fit.save(tmp_path)
+        factor_counts.clear()
+        FitResult.load(tmp_path, pattern, cov, roads, _spec(True))
+        self._check(factor_counts, caller_counts)
+
+    def test_mcmc_fit(self, unit_data, caller_counts, factor_counts):
+        pattern, cov, roads = unit_data
+        mcmc_fit(pattern, cov, roads, _spec(True), ChainConfig(n_iter=40, n_burn=20),
+                 chains=1, seed=0, max_latent=2000)
+        self._check(factor_counts, caller_counts)
+
+    def test_sample_matern_field(self, caller_counts, factor_counts):
+        sample_matern_field(Grid(0.0, 0.0, 1.0, 20, 20), MaternParams(1.0, 4.0), seed=2)
+        self._check(factor_counts, caller_counts)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_run_scenarios(self, threads, caller_counts, factor_counts):
+        run_scenarios(ScenarioConfig(seed=5, threads=threads, **FAST))
+        self._check(factor_counts, caller_counts)

@@ -127,6 +127,16 @@ class TestRunScenarios:
         assert a.rows == b.rows
         assert a.zeta_scale == b.zeta_scale
 
+    # a VSE fit on this seed runs to the edge of the hyper box (one fallback
+    # node, log sigma near its bound of 6, sigma ~ 402, beta0 ~ 51) and its
+    # score table overflows; ROADMAP lists the fault as an open item
+    @pytest.mark.xfail(strict=True, raises=ValueError,
+                       reason="runaway VSE fit: assess.score table entries not finite")
+    def test_study_geometry_seed_312_completes(self):
+        result = run_scenarios(ScenarioConfig(seed=312, zeta_levels=(0.0, 16.0),
+                                              replicates=1, grid_n=12, domain_size=90.0))
+        assert result.n_failed == 0
+
     def test_outputs_roundtrip(self, fast_run, tmp_path):
         res = fast_run
         res.to_csv(tmp_path / "rows.csv")
