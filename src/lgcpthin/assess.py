@@ -31,8 +31,6 @@ class PointwiseLikelihoodTable:
 
     log_lik: np.ndarray
     log_lik_at_mean: np.ndarray
-    n_node_rows: int = 0
-    n_point_rows: int = 0
 
     def __post_init__(self):
         ll = np.asarray(self.log_lik, dtype=float)
@@ -131,9 +129,7 @@ def pointwise_table(fit_result, n_samples: int = 200, seed=0) -> PointwiseLikeli
     mean_eta_n = eta_n.mean(axis=1)
     mean_eta_p = eta_p.mean(axis=1)
     at_mean = np.concatenate([-weights * np.exp(mean_eta_n), mean_eta_p])
-    return PointwiseLikelihoodTable(log_lik, at_mean,
-                                    n_node_rows=ctx.n_cells,
-                                    n_point_rows=ctx.n_points)
+    return PointwiseLikelihoodTable(log_lik, at_mean)
 
 
 def score(fit_result, n_samples: int = 200, seed=0) -> dict[str, float]:

@@ -17,8 +17,9 @@ LAPACK wrapper and left as it was.  Callers that keep a band pass a copy.
 The factorizations here run slower on OpenBLAS's threads than on one (a VSE
 fit on the default study geometry: 3.0 s on two threads, 2.3 s on one, on a
 2-vCPU machine), so the package's numerical entry points run under
-``_one_blas_thread``, which pins every loaded OpenBLAS to one thread and
-gives the caller's count back on the way out.
+``_one_blas_thread``, which pins the OpenBLAS libraries that numpy and
+scipy call LAPACK through to one thread and gives the caller's count back
+on the way out.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import os
 import threading
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cho_solve_banded, cholesky_banded, solve_banded
+from numpy.linalg import _umath_linalg
+from scipy.linalg import _flapack, cho_factor, cho_solve, cho_solve_banded, cholesky_banded, solve_banded
 from scipy.linalg.blas import dtbmv
 
 from lgcpthin.errors import NotSpdError
@@ -43,45 +45,30 @@ _OPENBLAS_SYMBOLS = (
 
 
 def _loaded_openblas() -> list[tuple]:
-    """(setter, getter) of each OpenBLAS already loaded in this process.
+    """(setter, getter) of each OpenBLAS that numpy and scipy call LAPACK through.
 
-    Shared objects are listed with ``dl_iterate_phdr``; where the C library
-    has none (macOS, Windows) the list is empty and nothing is pinned.
+    numpy's ``_umath_linalg`` and scipy's ``_flapack`` extension modules are
+    opened again with ``RTLD_NOLOAD``, which returns a handle to the copy
+    already loaded, and the symbols are looked up in each module and the
+    libraries it links.  An OpenBLAS that another package loaded is left
+    alone.  Where there is no ``RTLD_NOLOAD`` (Windows) or no OpenBLAS, the
+    list is empty and nothing is pinned.
     """
-    class Info(ctypes.Structure):
-        _fields_ = [("addr", ctypes.c_void_p), ("name", ctypes.c_char_p)]
-
-    callback = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.POINTER(Info), ctypes.c_size_t,
-                                ctypes.c_void_p)
-    paths = []
-
-    @callback
-    def collect(info, size, data):
-        name = os.fsdecode(info.contents.name or b"")
-        if "openblas" in os.path.basename(name):
-            paths.append(name)
-        return 0
-
-    try:
-        iterate = ctypes.CDLL(None).dl_iterate_phdr
-    except (AttributeError, OSError, TypeError):
-        return []
-    iterate.argtypes, iterate.restype = [callback, ctypes.c_void_p], ctypes.c_int
-    iterate(collect, None)
-    libs = []
-    for path in paths:
-        try:  # RTLD_NOLOAD: a handle to the loaded copy, never a new load
-            lib = ctypes.CDLL(path, mode=os.RTLD_NOLOAD | os.RTLD_LOCAL)
-        except OSError:
+    libs = {}
+    for module in (_umath_linalg, _flapack):
+        try:
+            lib = ctypes.CDLL(module.__file__, mode=os.RTLD_NOLOAD | os.RTLD_LOCAL)
+        except (AttributeError, OSError):
             continue
         for set_name, get_name in _OPENBLAS_SYMBOLS:
             if hasattr(lib, set_name) and hasattr(lib, get_name):
                 set_n, get_n = getattr(lib, set_name), getattr(lib, get_name)
                 set_n.argtypes, set_n.restype = [ctypes.c_int], None
                 get_n.argtypes, get_n.restype = [], ctypes.c_int
-                libs.append((set_n, get_n))
+                # keyed by address: numpy and scipy may link one library
+                libs[ctypes.cast(set_n, ctypes.c_void_p).value] = (set_n, get_n)
                 break
-    return libs
+    return list(libs.values())
 
 
 class _OneBlasThread(contextlib.ContextDecorator):
@@ -208,11 +195,6 @@ class BorderedPrecision:
             self._chol_s = cho_factor(schur, lower=True)
         except np.linalg.LinAlgError as exc:
             raise NotSpdError(f"Schur complement not SPD: {exc}") from exc
-        self._schur = schur
-
-    @property
-    def n(self) -> int:
-        return self.n_field + self.n_coef
 
     def logdet(self) -> float:
         ld = self._chol_w.logdet() if self._chol_w is not None else 0.0

@@ -246,6 +246,7 @@ class _LatticeOperators:
         return ab
 
 
+@_one_blas_thread
 def build_precision(grid: Grid, params: MaternParams) -> GmrfPrecision:
     """Precision of the lattice Matern field on the given grid.
 
@@ -262,6 +263,7 @@ def build_precision(grid: Grid, params: MaternParams) -> GmrfPrecision:
     return prec
 
 
+@_one_blas_thread
 def sample_field(precision: GmrfPrecision, seed, size: int = 1) -> np.ndarray:
     """Draw zero-mean field samples; shape (ny, nx) or (size, ny, nx).
 
@@ -280,7 +282,6 @@ def extension_margin(grid: Grid, params: MaternParams, extension_factor: float) 
     return int(math.ceil(extension_factor * params.rho / grid.cell_size))
 
 
-@_one_blas_thread
 def sample_matern_field(grid: Grid, params: MaternParams, seed,
                         size: int = 1, extension_factor: float = 1.5) -> np.ndarray:
     """Sample the field on ``grid`` with boundary extension and cropping.

@@ -58,9 +58,6 @@ class ModelSpec:
 
     ``zeta_fixed`` pins the thinning rate instead of estimating it; the value
     0 encodes q = 1 everywhere, which reduces the VSE model to the naive one.
-    ``extension_factor`` pads the latent field by that many prior-median
-    ranges per side; one range is where the Neumann boundary's variance
-    inflation has died out, so more padding only costs factorization time.
     """
 
     covariate_names: tuple[str, ...]
@@ -70,7 +67,6 @@ class ModelSpec:
     theta_prior: NormalPrior = NormalPrior(1.0, 0.05)
     include_field: bool = True
     zeta_fixed: float | None = None
-    extension_factor: float = 1.0
     grid_points_per_dim: int = 5
 
     def hyper_names(self) -> tuple[str, ...]:
@@ -106,6 +102,10 @@ class HyperNode:
         return self.mode[self.mode.size - self.beta_cov.shape[0]:]
 
 
+# The latent field is padded by this many prior-median ranges per side: one
+# range is where the Neumann boundary's variance inflation has died out, so
+# more padding only costs factorization time.
+_EXTENSION_FACTOR = 1.0
 _NEWTON_TOL = 1e-6  # Newton stops once max |gradient| falls below this
 _MAX_NEWTON_ITER = 50
 _SPAN_SD = 2.5           # the hyper grid spans +- this many posterior sds per dimension
@@ -147,7 +147,7 @@ class _ModelContext:
         # latent field lives on the extended grid; fixed margin per fit
         if spec.include_field:
             ref = MaternParams(sigma=1.0, rho=spec.pc_prior.rho_median)
-            self.margin = extension_margin(grid, ref, spec.extension_factor)
+            self.margin = extension_margin(grid, ref, _EXTENSION_FACTOR)
         else:
             self.margin = 0
         self.ext_grid = grid.extended(self.margin)
@@ -733,7 +733,7 @@ class FitResult:
         if "hyper" not in data.files:
             raise ValueError("fit_nodes.npz has no 'hyper' array: it was saved in an "
                              "older format; fit the model again")
-        # a fit saved under another extension_factor or grid would otherwise
+        # a fit saved with another padding or grid would otherwise
         # load and fail later, as a broadcast error in predict_intensity
         for key, want in (("mode", ctx.n_field + ctx.n_coef), ("curvature", ctx.n_cells)):
             have = data[key].shape[1]
@@ -741,7 +741,7 @@ class FitResult:
                 raise ValueError(
                     f"fit_nodes.npz '{key}' has {have} entries per node but this spec "
                     f"and data give {want}: the fit was saved with another "
-                    "extension_factor or grid; fit the model again")
+                    "padding or grid; fit the model again")
         nodes = []
         for k in range(data["weight"].size):
             hyper, curvature = data["hyper"][k], data["curvature"][k]

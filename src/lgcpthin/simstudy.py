@@ -29,6 +29,9 @@ from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
 from lgcpthin.inference import ModelSpec, NormalPrior, fit
 from lgcpthin.pointprocess import ThinningConfig, make_log_intensity, simulate_lgcp, thin
 
+COVARIATE_DISTANCE_CORR = -0.4  # built correlation of the covariate with road distance
+TARGET_HEAVY_REMOVAL = 0.49     # fraction of points the heaviest thinning level removes
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -49,8 +52,6 @@ class ScenarioConfig:
     domain_size: float = 150.0
     grid_n: int = 20
     road_spacing: float = 50.0
-    covariate_distance_corr: float = -0.4
-    target_heavy_removal: float = 0.49
     pc_prior: PcPriorSpec = PcPriorSpec(rho0=15.0, alpha_rho=0.05,
                                         sigma0=1.0, alpha_sigma=0.05)
     models: tuple[str, ...] = ("naive", "vse")
@@ -212,7 +213,7 @@ def synthetic_assets(config: ScenarioConfig) -> DomainAssets:
     smooth = sample_matern_field(
         grid, MaternParams(sigma=1.0, rho=0.25 * config.domain_size), rng).ravel()
     smooth = (smooth - smooth.mean()) / smooth.std()
-    alpha = abs(config.covariate_distance_corr)
+    alpha = abs(COVARIATE_DISTANCE_CORR)
     raw = -alpha * d_std + math.sqrt(1 - alpha ** 2) * smooth
     cov_values = (raw - raw.mean()) / raw.std()
     cov = RasterGrid(grid, cov_values.reshape(grid.ny, grid.nx))
@@ -237,7 +238,7 @@ def calibrate_zeta_scale(assets: DomainAssets, config: ScenarioConfig) -> float:
     heavy = max(config.zeta_levels)
     if heavy <= 0:
         return 1.0
-    target = config.target_heavy_removal
+    target = TARGET_HEAVY_REMOVAL
 
     def gap(log_c):
         return expected_removal(math.exp(log_c) * heavy, assets, config) - target

@@ -170,8 +170,7 @@ class TestCriterion05LaplaceVsMcmc:
         pattern = simulate_lgcp(surface, 72)
         spec = ModelSpec(
             covariate_names=("x1",), use_vse=False,
-            pc_prior=PcPriorSpec(rho0=0.05, alpha_rho=0.05, sigma0=1.0, alpha_sigma=0.05),
-            extension_factor=1.0)
+            pc_prior=PcPriorSpec(rho0=0.05, alpha_rho=0.05, sigma0=1.0, alpha_sigma=0.05))
         laplace = fit(pattern, {"x1": cov}, None, spec)
         mcmc = mcmc_fit(pattern, {"x1": cov}, None, spec,
                         ChainConfig(n_iter=8000, n_burn=3000), chains=4, seed=77)

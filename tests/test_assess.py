@@ -20,7 +20,7 @@ def normal_mean_table(y, prior_var=100.0, n_samples=5000, seed=0, sigma=1.0):
     mu = post_mean + math.sqrt(post_var) * rng.standard_normal(n_samples)
     log_lik = norm.logpdf(y[:, None], loc=mu[None, :], scale=sigma)
     at_mean = norm.logpdf(y, loc=mu.mean(), scale=sigma)
-    table = PointwiseLikelihoodTable(log_lik, at_mean, n_point_rows=n)
+    table = PointwiseLikelihoodTable(log_lik, at_mean)
     return table, post_mean, post_var
 
 
@@ -137,8 +137,6 @@ class TestPointwiseTable:
         spec = ModelSpec(covariate_names=("x1",), use_vse=False, pc_prior=UNIT_PC)
         result = fit(pattern, covs, None, spec)
         table = pointwise_table(result, n_samples=150, seed=0)
-        assert table.n_node_rows == 100
-        assert table.n_point_rows == len(pattern)
         assert table.log_lik.shape == (100 + len(pattern), 150)
         # node rows are log Poisson-void probabilities, hence nonpositive
         assert np.all(table.log_lik[:100] <= 0)

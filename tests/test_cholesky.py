@@ -3,9 +3,11 @@
 A spy on ``BandedCholesky.__init__`` records the thread count of every
 loaded OpenBLAS at each factorization, so the entry-point tests prove that
 no factorization reached from the package's numerical entry points runs
-threaded.  Everything here is skipped when no OpenBLAS is loaded.
+threaded.  Those tests are skipped when no OpenBLAS is loaded; the
+discovery test checks, without the package's lookup, that none was missed.
 """
 
+import os
 import sys
 import threading
 import time
@@ -16,13 +18,14 @@ import pytest
 from lgcpthin import assess
 from lgcpthin.cholesky import BandedCholesky, _loaded_openblas, _one_blas_thread
 from lgcpthin.geo import Grid, RasterGrid, RoadNetwork
-from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
+from lgcpthin.grf import (MaternParams, PcPriorSpec, _LatticeOperators, build_precision,
+                          sample_field, sample_matern_field)
 from lgcpthin.inference import ChainConfig, FitResult, ModelSpec, fit, mcmc_fit, predict_intensity
 from lgcpthin.pointprocess import make_log_intensity, simulate_lgcp
 from lgcpthin.simstudy import ScenarioConfig, run_scenarios
 
 LIBS = _loaded_openblas()
-pytestmark = pytest.mark.skipif(not LIBS, reason="no OpenBLAS loaded in this process")
+needs_openblas = pytest.mark.skipif(not LIBS, reason="no OpenBLAS loaded in this process")
 
 FAST = dict(zeta_levels=(0.0, 16.0), replicates=1, grid_n=12, domain_size=90.0,
             posterior_draws_per_fit=100)
@@ -83,6 +86,16 @@ def vse_fit(unit_data):
     return fit(pattern, cov, roads, _spec(True))
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="no /proc/self/maps")
+def test_finds_every_mapped_openblas():
+    # numpy and scipy are imported, so every OpenBLAS in the process is theirs
+    with open("/proc/self/maps") as maps:
+        fields = [line.rstrip("\n").split(maxsplit=5) for line in maps]
+    paths = {f[5] for f in fields if len(f) == 6 and "openblas" in os.path.basename(f[5])}
+    assert len(LIBS) == len(paths), sorted(paths)
+
+
+@needs_openblas
 class TestPin:
     def test_one_inside_caller_count_after(self, caller_counts):
         with _one_blas_thread:
@@ -151,6 +164,7 @@ class TestPin:
         assert thread_counts() == caller_counts
 
 
+@needs_openblas
 class TestEntryPointsFactorOnOneThread:
     @staticmethod
     def _check(seen, caller_counts):
@@ -187,6 +201,16 @@ class TestEntryPointsFactorOnOneThread:
 
     def test_sample_matern_field(self, caller_counts, factor_counts):
         sample_matern_field(Grid(0.0, 0.0, 1.0, 20, 20), MaternParams(1.0, 4.0), seed=2)
+        self._check(factor_counts, caller_counts)
+
+    def test_build_precision(self, caller_counts, factor_counts):
+        build_precision(Grid(0.0, 0.0, 1.0, 30, 30), MaternParams(1.0, 4.0))
+        self._check(factor_counts, caller_counts)
+
+    def test_sample_field(self, caller_counts, factor_counts):
+        # an unfactored precision, so the factorization happens inside sample_field
+        prec = _LatticeOperators(Grid(0.0, 0.0, 1.0, 30, 30)).assemble(MaternParams(1.0, 4.0))
+        sample_field(prec, seed=2, size=3)
         self._check(factor_counts, caller_counts)
 
     @pytest.mark.parametrize("threads", [1, 2])

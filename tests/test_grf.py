@@ -258,7 +258,7 @@ class TestSampleField:
         f3 = sample_field(prec, seed=43)
         assert not np.array_equal(f1, f3)
 
-    @pytest.mark.parametrize("factor", [-0.5, math.nan, -math.inf])
+    @pytest.mark.parametrize("factor", [-0.5, math.nan, -math.inf, math.inf])
     def test_bad_extension_factor_rejected(self, factor):
         # -0.5 would otherwise crop a 2 x 2 field out of the 20 x 20 grid
         grid = Grid(0.0, 0.0, 1.0, 20, 20)

@@ -392,9 +392,9 @@ class TestFit:
             FitResult.load(tmp_path, pattern, covs, None, naive_spec)
 
     def test_load_rejects_other_extension(self, naive_spec, tmp_path):
-        # a wider padding saves a longer latent vector per node
+        # a longer prior range pads wider, so saves a longer latent vector per node
         pattern, covs, _ = unit_square_data(seed=3)
-        wide = ModelSpec(covariate_names=("x1",), pc_prior=UNIT_PC, extension_factor=1.5)
+        wide = ModelSpec(covariate_names=("x1",), pc_prior=PcPriorSpec(rho0=0.12))
         fit(pattern, covs, None, wide).save(tmp_path)
         with pytest.raises(ValueError, match="'mode' has 678 entries .* give 486"):
             FitResult.load(tmp_path, pattern, covs, None, naive_spec)
@@ -408,13 +408,6 @@ class TestFit:
         np.savez_compressed(path, **data)
         with pytest.raises(ValueError, match="'curvature' has 143 entries .* give 144"):
             FitResult.load(tmp_path, pattern, covs, None, naive_spec)
-
-    @pytest.mark.parametrize("factor", [-1.0, math.nan, math.inf])
-    def test_bad_extension_factor_rejected(self, factor):
-        pattern, covs, _ = unit_square_data(seed=1)
-        spec = ModelSpec(covariate_names=("x1",), pc_prior=UNIT_PC, extension_factor=factor)
-        with pytest.raises(ValueError, match=f"extension_factor .* got {factor}"):
-            fit(pattern, covs, None, spec)
 
     @pytest.mark.parametrize("model, zeta", [
         (dict(), 0.0),

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lgcpthin.simstudy import (
+    TARGET_HEAVY_REMOVAL,
     ScenarioConfig,
     ScenarioResult,
     calibrate_zeta_scale,
@@ -54,7 +55,7 @@ class TestCalibration:
         assets = synthetic_assets(cfg)
         scale = calibrate_zeta_scale(assets, cfg)
         removed = expected_removal(scale * 16.0, assets, cfg)
-        assert removed == pytest.approx(cfg.target_heavy_removal, abs=1e-3)
+        assert removed == pytest.approx(TARGET_HEAVY_REMOVAL, abs=1e-3)
 
     def test_removal_monotone_in_zeta(self):
         cfg = ScenarioConfig(seed=3)
