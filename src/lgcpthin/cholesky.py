@@ -14,17 +14,16 @@ field block) belongs to the factor from then on: a Fortran-ordered
 factor afterwards.  A C-ordered band is copied to column-major storage by the
 LAPACK wrapper and left as it was.  Callers that keep a band pass a copy.
 
-The factorizations here run slower on OpenBLAS's threads than on one (a VSE
+The band calls here run slower on OpenBLAS's threads than on one (a VSE
 fit on the default study geometry: 3.0 s on two threads, 2.3 s on one, on a
-2-vCPU machine), so the package's numerical entry points run under
-``_one_blas_thread``, which pins the OpenBLAS libraries that numpy and
+2-vCPU machine), so ``BandedCholesky`` makes each of them, for any caller,
+under ``_one_blas_thread``, which pins the OpenBLAS libraries that numpy and
 scipy call LAPACK through to one thread and gives the caller's count back
 on the way out.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import os
 import threading
@@ -71,8 +70,8 @@ def _loaded_openblas() -> list[tuple]:
     return list(libs.values())
 
 
-class _OneBlasThread(contextlib.ContextDecorator):
-    """Run the body (or a decorated function) with every OpenBLAS on one thread.
+class _OneBlasThread:
+    """Run the ``with`` body with every OpenBLAS on one thread.
 
     The outermost entry records each library's thread count and sets it to 1;
     the outermost exit, by return or exception, sets the recorded counts
@@ -122,7 +121,8 @@ class BandedCholesky:
         if np.any(ab[0] <= 0.0) or not np.all(np.isfinite(ab[0])):
             raise NotSpdError("matrix diagonal is not positive and finite")
         try:
-            self._cb = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
+            with _one_blas_thread:
+                self._cb = cholesky_banded(ab, lower=True, overwrite_ab=True, check_finite=False)
         except (np.linalg.LinAlgError, ValueError) as exc:
             raise NotSpdError(f"banded Cholesky failed: {exc}") from exc
         self.n = ab.shape[1]
@@ -146,17 +146,20 @@ class BandedCholesky:
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """Solve A x = b (b may carry extra trailing axes as columns)."""
-        return cho_solve_banded((self._cb, True), b, check_finite=False)
+        with _one_blas_thread:
+            return cho_solve_banded((self._cb, True), b, check_finite=False)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """A @ x for a vector x, as L (L^T x)."""
         w = self.bandwidth
-        return dtbmv(w, self._cb, dtbmv(w, self._cb, x, lower=1, trans=1), lower=1,
-                     overwrite_x=1)
+        with _one_blas_thread:
+            return dtbmv(w, self._cb, dtbmv(w, self._cb, x, lower=1, trans=1), lower=1,
+                         overwrite_x=1)
 
     def solve_lt(self, z: np.ndarray) -> np.ndarray:
         """Solve L^T x = z; for z ~ N(0, I) the result has covariance A^{-1}."""
-        return solve_banded((0, self.bandwidth), self._lt, z, check_finite=False)
+        with _one_blas_thread:
+            return solve_banded((0, self.bandwidth), self._lt, z, check_finite=False)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw ``size`` samples with covariance A^{-1}; shape (n, size)."""

@@ -67,9 +67,11 @@ def _parse_value(raw: str):
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     """Parse ``argv``, then again with the ``--config`` file's values as the
     command's defaults: a flag wins whatever its value, a repeated flag replaces
-    the file's list, and a key that names no option of the command, a list for
-    an option that takes one value, or a value outside an option's choices, is
-    an error."""
+    the file's list, and each value goes through its option's ``type`` as a
+    flag's would.  A key that names no option of the command, a list for an
+    option that takes one value, a value its option's type rejects, a switch
+    that is not true or false, or a value outside an option's choices, is an
+    error."""
     args = parser.parse_args(argv)
     if not args.config:
         return args
@@ -81,14 +83,23 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
     for key, value in cfg.items():
         if key not in actions:
             raise ParseError(f"unknown key {key!r} for '{args.command}'", args.config)
-        many = isinstance(actions[key], argparse._AppendAction) or actions[key].nargs == "+"
+        action = actions[key]
+        many = isinstance(action, argparse._AppendAction) or action.nargs == "+"
         if isinstance(value, list) and not many:
             raise ParseError(f"{key} = {value!r} is a list, but '{args.command}' "
                              f"takes one value for {key!r}", args.config)
-        if actions[key].choices and value not in actions[key].choices:
-            raise ParseError(f"{key} = {value!r} is not one of {list(actions[key].choices)}", args.config)
-        if many:
-            cfg[key] = value if isinstance(value, list) else [value]
+        values = value if isinstance(value, list) else [value]
+        if action.nargs == 0:  # a switch
+            if not isinstance(value, bool):
+                raise ParseError(f"{key} = {value!r} is not true or false", args.config)
+        else:  # as argparse converts a flag's string
+            try:
+                values = [(action.type or str)(str(v)) for v in values]
+            except (TypeError, ValueError) as exc:
+                raise ParseError(f"{key} = {value!r}: {exc}", args.config) from exc
+        if action.choices and any(v not in action.choices for v in values):
+            raise ParseError(f"{key} = {value!r} is not one of {list(action.choices)}", args.config)
+        cfg[key] = values if many else values[0]
     subparser.set_defaults(**cfg)
     merged = parser.parse_args(argv)
     for key in cfg:  # a flag given once or more replaces the file's list
@@ -189,6 +200,8 @@ def _write_csv(path, header: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_explore(args) -> int:
+    if args.grid_res < 1:
+        raise LgcpThinError(f"--grid-res must be at least 1, got {args.grid_res}")
     run = _Run("explore", args)
     points = geo.read_points_csv(args.points)
     roads = geo.read_roads(args.roads)
@@ -297,7 +310,7 @@ def cmd_predict(args) -> int:
 def cmd_simstudy(args) -> int:
     run = _Run("simstudy", args)
     config = ScenarioConfig(
-        zeta_levels=tuple(float(z) for z in args.zeta_levels),
+        zeta_levels=tuple(args.zeta_levels),
         replicates=args.replicates,
         posterior_draws_per_fit=args.posterior_draws,
         theta_prior_preset=args.theta_prior,

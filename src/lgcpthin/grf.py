@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import k1
 
-from lgcpthin.cholesky import BandedCholesky, _one_blas_thread
+from lgcpthin.cholesky import BandedCholesky
 from lgcpthin.geo import Grid
 
 NU = 1.0  # smoothness is fixed; the stencil below is specific to this value
@@ -246,7 +246,6 @@ class _LatticeOperators:
         return ab
 
 
-@_one_blas_thread
 def build_precision(grid: Grid, params: MaternParams) -> GmrfPrecision:
     """Precision of the lattice Matern field on the given grid.
 
@@ -263,7 +262,6 @@ def build_precision(grid: Grid, params: MaternParams) -> GmrfPrecision:
     return prec
 
 
-@_one_blas_thread
 def sample_field(precision: GmrfPrecision, seed, size: int = 1) -> np.ndarray:
     """Draw zero-mean field samples; shape (ny, nx) or (size, ny, nx).
 

@@ -29,7 +29,7 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize
 from scipy.stats import norm
 
-from lgcpthin.cholesky import BorderedPrecision, _one_blas_thread
+from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.errors import FitError, NotSpdError
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork, distances_to_roads, distance_raster
 from lgcpthin.grf import GmrfPrecision, MaternParams, PcPriorSpec, _LatticeOperators, extension_margin, pc_prior_logdensity
@@ -644,6 +644,8 @@ class FitResult:
     # -- posterior access ----------------------------------------------------
 
     def credible_interval(self, name: str, level: float = 0.95) -> tuple[float, float]:
+        if not 0.0 < level < 1.0:
+            raise ValueError(f"level must be in (0, 1), got {level}")
         s = self.summaries[name]
         if abs(level - 0.95) < 1e-12:
             return (s["q025"], s["q975"])
@@ -666,7 +668,6 @@ class FitResult:
         ks = rng.choice(len(self.nodes), size=size, p=self._weights)
         return self._beta_means[ks, j] + self._beta_sds[ks, j] * rng.standard_normal(size)
 
-    @_one_blas_thread
     def sample_latent(self, rng: np.random.Generator, size: int):
         """Joint draws of (field, coefficients) from the node mixture.
 
@@ -723,7 +724,6 @@ class FitResult:
         )
 
     @classmethod
-    @_one_blas_thread
     def load(cls, directory, pattern, covariates, roads, spec: ModelSpec) -> "FitResult":
         """Rebuild a saved fit; data and spec must match the original run."""
         import os
@@ -758,7 +758,6 @@ class FitResult:
 # Fitting entry point
 # ---------------------------------------------------------------------------
 
-@_one_blas_thread
 def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
         roads: RoadNetwork | None, spec: ModelSpec) -> FitResult:
     """Fit the naive or VSE model; see the module docstring for the method.
@@ -876,7 +875,6 @@ def _log_field_prior(omega, prior: GmrfPrecision | None) -> float:
     return 0.5 * logdet - 0.5 * float(omega @ prior.matvec(omega))
 
 
-@_one_blas_thread
 def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
              roads: RoadNetwork | None, spec: ModelSpec,
              chain_config: ChainConfig = ChainConfig(), chains: int = 4,

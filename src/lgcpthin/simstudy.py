@@ -66,6 +66,8 @@ class ScenarioConfig:
             raise ValueError("zeta levels must be nonnegative")
         if self.theta_prior_preset not in ("default", "informative"):
             raise ValueError("theta_prior_preset must be 'default' or 'informative'")
+        if not 0.0 < self.nominal_level < 1.0:
+            raise ValueError(f"nominal_level must be in (0, 1), got {self.nominal_level}")
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,13 @@
 """The one-BLAS-thread pin: one thread inside, the caller's count after.
 
-A spy on ``BandedCholesky.__init__`` records the thread count of every
-loaded OpenBLAS at each factorization, so the entry-point tests prove that
-no factorization reached from the package's numerical entry points runs
-threaded.  Those tests are skipped when no OpenBLAS is loaded; the
-discovery test checks, without the package's lookup, that none was missed.
+Spies on the four band calls that ``BandedCholesky`` makes (``cholesky_banded``,
+``cho_solve_banded``, ``solve_banded`` and ``dtbmv``, as attributes of
+``lgcpthin.cholesky``) record the thread count of every loaded OpenBLAS at
+each call.  The direct-use test proves that each call runs on one thread
+whoever calls it, and the entry-point tests that no factorization reached
+from the package's numerical entry points runs threaded.  Those tests are
+skipped when no OpenBLAS is loaded; the discovery test checks, without the
+package's lookup, that none was missed.
 """
 
 import os
@@ -15,8 +18,8 @@ import time
 import numpy as np
 import pytest
 
-from lgcpthin import assess
-from lgcpthin.cholesky import BandedCholesky, _loaded_openblas, _one_blas_thread
+from lgcpthin import assess, cholesky
+from lgcpthin.cholesky import _loaded_openblas, _one_blas_thread
 from lgcpthin.geo import Grid, RasterGrid, RoadNetwork
 from lgcpthin.grf import (MaternParams, PcPriorSpec, _LatticeOperators, build_precision,
                           sample_field, sample_matern_field)
@@ -48,18 +51,32 @@ def caller_counts():
         set_n(count)
 
 
+BAND_CALLS = ("cholesky_banded", "cho_solve_banded", "solve_banded", "dtbmv")
+
+
 @pytest.fixture
-def factor_counts(monkeypatch):
-    """Thread counts seen by each BandedCholesky factorization."""
-    seen = []
-    original = BandedCholesky.__init__
+def band_counts(monkeypatch):
+    """Thread counts seen by each call of each band routine, by name."""
+    seen = {name: [] for name in BAND_CALLS}
 
-    def spy(self, ab):
-        seen.append(thread_counts())
-        original(self, ab)
+    def spy_on(name):
+        original = getattr(cholesky, name)
 
-    monkeypatch.setattr(BandedCholesky, "__init__", spy)
+        def spy(*args, **kwargs):
+            seen[name].append(thread_counts())
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cholesky, name, spy)
+
+    for name in BAND_CALLS:
+        spy_on(name)
     return seen
+
+
+@pytest.fixture
+def factor_counts(band_counts):
+    """Thread counts seen by each banded factorization."""
+    return band_counts["cholesky_banded"]
 
 
 @pytest.fixture(scope="module")
@@ -110,10 +127,10 @@ class TestPin:
         assert thread_counts() == caller_counts
 
     def test_restored_after_exception(self, caller_counts):
-        @_one_blas_thread
         def fails():
-            assert thread_counts() == [1] * len(LIBS)
-            raise RuntimeError("inside")
+            with _one_blas_thread:
+                assert thread_counts() == [1] * len(LIBS)
+                raise RuntimeError("inside")
 
         with pytest.raises(RuntimeError, match="inside"):
             fails()
@@ -162,6 +179,21 @@ class TestPin:
         assert not any(t.is_alive() for t in workers)
         assert wrong == []
         assert thread_counts() == caller_counts
+
+
+@needs_openblas
+def test_direct_band_calls_run_on_one_thread(caller_counts, band_counts):
+    # no package entry point between the caller and BandedCholesky
+    prec = _LatticeOperators(Grid(0.0, 0.0, 1.0, 30, 30)).assemble(MaternParams(1.0, 4.0))
+    chol = prec.chol()
+    b = np.ones(chol.n)
+    chol.solve(b)
+    chol.sample(np.random.default_rng(0), size=3)
+    chol.matvec(b)
+    assert {name: len(c) for name, c in band_counts.items()} == {
+        "cholesky_banded": 1, "cho_solve_banded": 1, "solve_banded": 1, "dtbmv": 2}
+    assert all(c == [1] * len(LIBS) for calls in band_counts.values() for c in calls)
+    assert thread_counts() == caller_counts
 
 
 @needs_openblas

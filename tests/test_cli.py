@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lgcpthin import geo
-from lgcpthin.cli import main, read_config
+from lgcpthin.cli import _parse_args, build_parser, main, read_config
 from lgcpthin.errors import ParseError
 from lgcpthin.geo import Grid, RasterGrid, RoadNetwork
 
@@ -242,6 +242,7 @@ class TestConfigFile:
         ("thin", "zetta = 5\n", ["'zetta'", "'thin'"]),  # misspelt key
         ("fit", "model = vsee\n", ["model", "'vsee'"]),   # value outside the choices
         ("thin", "seed = 1, 2\n", ["seed", "'thin'", "list"]),  # list for a scalar
+        ("thin", "seed = 1.5\n", ["seed"]),  # a value the option's type rejects
     ])
     def test_bad_config_rejected(self, world, simulated, tmp_path, capsys,
                                  command, text, words):
@@ -267,6 +268,26 @@ class TestConfigFile:
         for name, want in (("from_cfg", {"x2"}), ("from_flag", {"x1"})):
             doc = json.loads((tmp_path / name / "explore.json").read_text())
             assert set(doc["covariate_distance_correlation"]) == want
+
+    def test_values_take_their_option_type(self, tmp_path):
+        # as the same values given as flags would: a number-like path stays a string
+        cfg = tmp_path / "types.cfg"
+        cfg.write_text("roads = 2019\ncovariate = x1=a.asc, x2=b.asc\n")
+        args = _parse_args(build_parser(), ["predict", "--fit", "f",
+                                            "--config", str(cfg), "--out", "o"])
+        assert args.roads == "2019"
+        assert args.covariate == ["x1=a.asc", "x2=b.asc"]
+        cfg.write_text("domain_size = 90\nzeta_levels = 0, 16\nself_test = true\n")
+        args = _parse_args(build_parser(), ["simstudy", "--config", str(cfg), "--out", "o"])
+        assert [type(v) for v in (args.domain_size, *args.zeta_levels)] == [float] * 3
+        assert args.self_test is True
+
+    @pytest.mark.parametrize("text", ["self_test = no\n", "self_test = 1\n"])
+    def test_switch_takes_only_true_or_false(self, tmp_path, text):
+        cfg = tmp_path / "switch.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ParseError, match="self_test .* is not true or false"):
+            _parse_args(build_parser(), ["simstudy", "--config", str(cfg), "--out", "o"])
 
     def test_parse_errors_carry_line_numbers(self, tmp_path):
         bad = tmp_path / "bad.cfg"
@@ -296,6 +317,14 @@ class TestErrorHandling:
                      "--zeta", "1", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("res", ["0", "-3"])
+    def test_explore_grid_res_below_one(self, world, simulated, tmp_path, capsys, res):
+        code = main(["explore", "--points", str(simulated / "points.csv"),
+                     "--roads", world["roads"], "--grid-res", res,
+                     "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--grid-res must be at least 1" in capsys.readouterr().err
 
     def test_missing_file(self, world, tmp_path, capsys):
         code = main(["explore", "--points", str(tmp_path / "nope.csv"),

@@ -329,6 +329,12 @@ class TestFit:
         for name, s in result.summaries.items():
             assert s["q025"] <= s["q50"] <= s["q975"], name
 
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, float("nan")])
+    def test_credible_interval_rejects_level_outside_unit_interval(self, small_fit, level):
+        result, _, _ = small_fit
+        with pytest.raises(ValueError, match="level must be in"):
+            result.credible_interval("beta0", level)
+
     def test_deterministic(self, naive_spec):
         pattern, covs, _ = unit_square_data(seed=9)
         r1 = fit(pattern, covs, None, naive_spec)

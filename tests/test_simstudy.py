@@ -159,3 +159,6 @@ class TestConfigValidation:
             ScenarioConfig(zeta_levels=(-1.0,))
         with pytest.raises(ValueError):
             ScenarioConfig(theta_prior_preset="vague")
+        for level in (0.0, 1.0, 1.5, -0.5, float("nan")):
+            with pytest.raises(ValueError, match="nominal_level"):
+                ScenarioConfig(nominal_level=level)
