@@ -233,7 +233,3 @@ class BorderedPrecision:
         top = (self._chol_w.matvec(xw) if self.n_field else xw) + self._hwb @ xb
         bottom = self._hwb.T @ xw + self._hbb @ xb
         return np.concatenate([top, bottom])
-
-    def quad_form(self, x: np.ndarray) -> float:
-        """x^T H x."""
-        return float(x @ self.matvec(x))

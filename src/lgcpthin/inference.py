@@ -13,8 +13,7 @@ weighted by their Laplace-approximated marginal likelihood.  Each evaluation
 is one :class:`HyperNode`; the fit keeps the grid nodes with positive weight.
 Models without a free hyperparameter have a single node.  Posterior
 marginals are Gaussian mixtures (coefficients) or interpolated grid
-marginals (hyperparameters).  A Metropolis-within-Gibbs sampler over the
-same posterior serves as a validation oracle on small instances.
+marginals (hyperparameters).
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from lgcpthin.grf import GmrfPrecision, MaternParams, PcPriorSpec, _LatticeOpera
 from lgcpthin.pointprocess import IntegrationScheme, _cox_loglik
 
 __all__ = [
-    "ChainConfig", "FitResult", "HyperNode", "McmcResult", "ModelSpec",
-    "NormalPrior", "fit", "gelman_rubin", "hyper_grid", "mcmc_fit",
+    "FitResult", "HyperNode", "ModelSpec", "NormalPrior", "fit", "hyper_grid",
     "predict_intensity",
 ]
 
@@ -46,6 +44,12 @@ __all__ = [
 class NormalPrior:
     mean: float
     precision: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.mean):
+            raise ValueError(f"prior mean must be finite, got {self.mean}")
+        if not (math.isfinite(self.precision) and self.precision > 0):
+            raise ValueError(f"prior precision must be positive and finite, got {self.precision}")
 
     def logpdf(self, x: float) -> float:
         return 0.5 * math.log(self.precision / (2 * math.pi)) \
@@ -68,6 +72,10 @@ class ModelSpec:
     include_field: bool = True
     zeta_fixed: float | None = None
     grid_points_per_dim: int = 5
+
+    def __post_init__(self):
+        if self.zeta_fixed is not None and not (math.isfinite(self.zeta_fixed) and self.zeta_fixed >= 0):
+            raise ValueError(f"zeta_fixed must be nonnegative and finite, got {self.zeta_fixed}")
 
     def hyper_names(self) -> tuple[str, ...]:
         names: list[str] = []
@@ -111,8 +119,6 @@ _MAX_NEWTON_ITER = 50
 _SPAN_SD = 2.5           # the hyper grid spans +- this many posterior sds per dimension
 _MAX_EVALS = 200         # Nelder-Mead evaluation budget of the hyper mode search
 _FALLBACK_SPREAD = 0.75  # hyper grid spread per dimension when the mode's Hessian fails
-_MALA_STEP = 0.2         # initial MCMC latent step size, adapted during burn-in
-_HYPER_STEP = 0.4        # initial MCMC hyper random-walk scale, adapted during burn-in
 
 
 # ---------------------------------------------------------------------------
@@ -826,189 +832,3 @@ def predict_intensity(result: FitResult, draws: int = 1000, seed=0):
     u, _ = result.sample_latent(np.random.default_rng(seed), draws)
     eta_n, _ = ctx.eta_many(u)
     return summarize_log_intensity_draws(eta_n, ctx.grid)
-
-
-# ---------------------------------------------------------------------------
-# MCMC oracle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ChainConfig:
-    n_iter: int = 4000
-    n_burn: int = 2000
-
-
-@dataclass
-class McmcResult:
-    beta: np.ndarray            # (chains, n_keep, p)
-    hypers: np.ndarray          # (chains, n_keep, d)
-    hyper_names: tuple[str, ...]
-    accept_latent: np.ndarray
-    accept_hyper: np.ndarray
-    warnings: list[str]
-
-    def beta_mean(self) -> np.ndarray:
-        return self.beta.reshape(-1, self.beta.shape[-1]).mean(axis=0)
-
-
-def gelman_rubin(chains: np.ndarray) -> float:
-    """Split-chain potential scale reduction factor for one scalar series.
-
-    ``chains`` has shape (n_chains, n_iterations).
-    """
-    m, n = chains.shape
-    half = n // 2
-    split = chains[:, : 2 * half].reshape(2 * m, half)
-    w = split.var(axis=1, ddof=1).mean()
-    b = half * split.mean(axis=1).var(ddof=1)
-    var_hat = (half - 1) / half * w + b / half
-    return float(np.sqrt(var_hat / w))
-
-
-def _log_field_prior(omega, prior: GmrfPrecision | None) -> float:
-    """log N(omega; 0, Q^-1) up to the 2 pi factor; -inf where Q is singular."""
-    if prior is None:
-        return 0.0
-    logdet = prior.logdet()
-    if not math.isfinite(logdet):
-        return -math.inf
-    return 0.5 * logdet - 0.5 * float(omega @ prior.matvec(omega))
-
-
-def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
-             roads: RoadNetwork | None, spec: ModelSpec,
-             chain_config: ChainConfig = ChainConfig(), chains: int = 4,
-             seed=0, max_latent: int = 1000) -> McmcResult:
-    """Metropolis-within-Gibbs sampler over the same posterior as :func:`fit`.
-
-    Latent block (field, coefficients) moves by preconditioned MALA with the
-    step size tuned to a 0.5-0.7 acceptance rate during burn-in; free
-    hyperparameters move by random-walk Metropolis.  Intended as a
-    validation oracle, so instances are restricted to ``max_latent`` latent
-    nodes.
-    """
-    ctx = _ModelContext(pattern, covariates, roads, spec)
-    n_latent = ctx.n_field + ctx.n_coef
-    if n_latent > max_latent:
-        raise ValueError(f"mcmc_fit is limited to {max_latent} latent nodes; got {n_latent}")
-    hyper_names = spec.hyper_names()
-    dim_h = len(hyper_names)
-    rng_master = np.random.default_rng(seed)
-    chain_seeds = rng_master.integers(0, 2 ** 63 - 1, size=chains)
-
-    # shared preconditioner: Laplace Hessian at the prior-start hypers
-    v0 = ctx.hyper_start()
-    pre = _laplace_at(ctx, v0, None)
-    if pre is None:
-        raise FitError("could not build the MALA preconditioner")
-    mass0 = ctx.hessian(pre.curvature_weights, ctx.prior_at(v0))
-    mode0 = pre.mode
-
-    cfg = chain_config
-    n_keep = cfg.n_iter - cfg.n_burn
-    beta_out = np.zeros((chains, n_keep, ctx.n_coef))
-    hyper_out = np.zeros((chains, n_keep, dim_h))
-    acc_latent = np.zeros(chains)
-    acc_hyper = np.zeros(chains)
-    warnings: list[str] = []
-
-    for c in range(chains):
-        rng = np.random.default_rng(chain_seeds[c])
-        eps = _MALA_STEP
-        delta = _HYPER_STEP
-        mass = mass0
-        v = v0 + 0.1 * rng.standard_normal(dim_h) if dim_h else v0.copy()
-        u = mode0 + 0.5 * mass.sample(rng, 1)[:, 0]
-
-        prior = ctx.prior_at(v)
-        offsets = ctx.offsets(ctx.zeta_of(v))
-        lp, g_prior = ctx.log_post(u, prior, offsets)
-        g = ctx.loglik_grad(u, offsets) + g_prior
-        n_acc_l = n_acc_h = 0
-        n_try_l = n_try_h = 0
-        epoch_acc_l = epoch_acc_h = epoch_n = 0
-
-        for it in range(cfg.n_iter):
-            # --- preconditioned MALA on the latent block
-            drift = 0.5 * eps * eps * mass.solve(g)
-            mean_fwd = u + drift
-            u_prop = mean_fwd + eps * mass.sample(rng, 1)[:, 0]
-            lp_prop, g_prior = ctx.log_post(u_prop, prior, offsets)
-            if np.isfinite(lp_prop):
-                g_prop = ctx.loglik_grad(u_prop, offsets) + g_prior
-                mean_rev = u_prop + 0.5 * eps * eps * mass.solve(g_prop)
-                d_fwd = u_prop - mean_fwd
-                d_rev = u - mean_rev
-                log_q = -(mass.quad_form(d_rev) - mass.quad_form(d_fwd)) / (2 * eps * eps)
-                log_alpha = lp_prop - lp + log_q
-            else:
-                log_alpha = -np.inf
-            n_try_l += 1
-            accept = math.log(rng.uniform()) < log_alpha
-            if accept:
-                u, lp, g = u_prop, lp_prop, g_prop
-                n_acc_l += 1
-            epoch_acc_l += int(accept)
-
-            # --- random-walk Metropolis on the hypers
-            if dim_h:
-                v_prop = v + delta * rng.standard_normal(dim_h)
-                try:
-                    prior_p = ctx.prior_at(v_prop)
-                    offsets_p = ctx.offsets(ctx.zeta_of(v_prop))
-                    omega = u[: ctx.n_field]
-                    num = (ctx.loglik(u, offsets_p)
-                           + _log_field_prior(omega, prior_p)
-                           + ctx.hyper_log_prior(v_prop))
-                    den = (ctx.loglik(u, offsets)
-                           + _log_field_prior(omega, prior)
-                           + ctx.hyper_log_prior(v))
-                    log_alpha_h = num - den
-                except (ValueError, OverflowError):
-                    log_alpha_h = -np.inf
-                n_try_h += 1
-                accept_h = math.log(rng.uniform()) < log_alpha_h
-                if accept_h:
-                    v = v_prop
-                    prior = prior_p
-                    offsets = offsets_p
-                    lp, g_prior = ctx.log_post(u, prior, offsets)
-                    g = ctx.loglik_grad(u, offsets) + g_prior
-                    n_acc_h += 1
-                epoch_acc_h += int(accept_h)
-
-            # --- burn-in adaptation toward the 0.5-0.7 MALA band, one
-            # bounded update per 50-iteration epoch (per-iteration updates
-            # compound faster than rejections can register and run away)
-            epoch_n += 1
-            if it < cfg.n_burn and epoch_n == 50:
-                eps *= math.exp(0.4 * (epoch_acc_l / 50 - 0.6))
-                eps = float(np.clip(eps, 1e-4, 10.0))
-                if dim_h:
-                    delta *= math.exp(0.4 * (epoch_acc_h / 50 - 0.3))
-                    delta = float(np.clip(delta, 1e-3, 10.0))
-                epoch_acc_l = epoch_acc_h = epoch_n = 0
-
-            # halfway through burn-in, re-precondition at the hypers the
-            # chain actually visits; the start-of-chain mass can be badly
-            # scaled when the hyper posterior sits far from its prior start
-            if it == cfg.n_burn // 2 and spec.include_field:
-                refreshed = _laplace_at(ctx, v, u)
-                if refreshed is not None:
-                    mass = ctx.hessian(refreshed.curvature_weights, prior)
-
-            if it >= cfg.n_burn:
-                k = it - cfg.n_burn
-                beta_out[c, k] = u[ctx.n_field:]
-                hyper_out[c, k] = v
-
-        acc_latent[c] = n_acc_l / max(n_try_l, 1)
-        acc_hyper[c] = n_acc_h / max(n_try_h, 1) if dim_h else float("nan")
-        if not 0.1 <= acc_latent[c] <= 0.9:
-            warnings.append(
-                f"chain {c}: latent acceptance {acc_latent[c]:.2f} outside [0.1, 0.9]")
-        if dim_h and not 0.1 <= acc_hyper[c] <= 0.9:
-            warnings.append(
-                f"chain {c}: hyper acceptance {acc_hyper[c]:.2f} outside [0.1, 0.9]")
-
-    return McmcResult(beta_out, hyper_out, hyper_names, acc_latent, acc_hyper, warnings)

@@ -68,6 +68,10 @@ class ScenarioConfig:
             raise ValueError("theta_prior_preset must be 'default' or 'informative'")
         if not 0.0 < self.nominal_level < 1.0:
             raise ValueError(f"nominal_level must be in (0, 1), got {self.nominal_level}")
+        if self.posterior_draws_per_fit < 1:
+            raise ValueError(f"posterior_draws_per_fit must be at least 1, got {self.posterior_draws_per_fit}")
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
 
 
 @dataclass(frozen=True)

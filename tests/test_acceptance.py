@@ -24,12 +24,9 @@ from lgcpthin.geo import (
 )
 from lgcpthin.grf import MaternParams, PcPriorSpec, matern_cov, pc_prior_logdensity, sample_matern_field
 from lgcpthin.inference import (
-    ChainConfig,
     ModelSpec,
     _ModelContext,
     fit,
-    gelman_rubin,
-    mcmc_fit,
     predict_intensity,
 )
 from lgcpthin.pointprocess import (
@@ -42,6 +39,7 @@ from lgcpthin.pointprocess import (
     thin,
 )
 from lgcpthin.simstudy import ScenarioConfig, run_scenarios, synthetic_assets
+from mcmc_oracle import ChainConfig, gelman_rubin, mcmc_fit
 
 
 def check(num: int, name: str, ok: bool, detail: str = "") -> None:

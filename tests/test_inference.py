@@ -12,21 +12,20 @@ from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork
 from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
 from lgcpthin.inference import (
-    ChainConfig,
     FitResult,
     ModelSpec,
+    NormalPrior,
     _GridMarginal,
     _ModelContext,
     _newton_mode,
     fit,
-    gelman_rubin,
     hyper_grid,
-    mcmc_fit,
     predict_intensity,
     summarize_log_intensity_draws,
 )
 from lgcpthin.pointprocess import loglik_lgcp, make_log_intensity, simulate_lgcp
 from lgcpthin.simstudy import ScenarioConfig, synthetic_assets
+from mcmc_oracle import ChainConfig, gelman_rubin, mcmc_fit
 
 UNIT_PC = PcPriorSpec(rho0=0.08, alpha_rho=0.05, sigma0=1.0, alpha_sigma=0.05)
 
@@ -443,6 +442,26 @@ class TestFit:
         spec = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
         with pytest.raises(ValueError):
             fit(pattern, covs, None, spec)
+
+
+class TestSpecValidation:
+    @pytest.mark.parametrize("mean, precision, field", [
+        (0.0, 0.0, "precision"),
+        (0.0, -1.0, "precision"),
+        (0.0, float("nan"), "precision"),
+        (0.0, float("inf"), "precision"),
+        (float("nan"), 1.0, "mean"),
+        (float("inf"), 1.0, "mean"),
+        (float("-inf"), 1.0, "mean"),
+    ])
+    def test_normal_prior_rejects_bad_values(self, mean, precision, field):
+        with pytest.raises(ValueError, match=f"prior {field} must be"):
+            NormalPrior(mean, precision)
+
+    @pytest.mark.parametrize("zeta", [-1.0, float("inf"), float("nan")])
+    def test_zeta_fixed_rejects_bad_values(self, zeta):
+        with pytest.raises(ValueError, match="zeta_fixed must be nonnegative and finite"):
+            ModelSpec(covariate_names=("x1",), use_vse=True, zeta_fixed=zeta)
 
 
 class TestPredict:

@@ -162,3 +162,9 @@ class TestConfigValidation:
         for level in (0.0, 1.0, 1.5, -0.5, float("nan")):
             with pytest.raises(ValueError, match="nominal_level"):
                 ScenarioConfig(nominal_level=level)
+        for draws in (0, -1):
+            with pytest.raises(ValueError, match="posterior_draws_per_fit"):
+                ScenarioConfig(posterior_draws_per_fit=draws)
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads"):
+                ScenarioConfig(threads=threads)
