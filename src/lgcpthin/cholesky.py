@@ -177,21 +177,17 @@ class BorderedPrecision:
     Schur complement ``S = Hbb - Hwb^T Hw^{-1} Hwb``.
     """
 
-    def __init__(self, hw: np.ndarray | None, hwb: np.ndarray, hbb: np.ndarray):
-        """``hw`` is the field block in lower-banded storage, or None when
-        there is no field.  Like ``BandedCholesky``, this takes ownership of
-        ``hw`` and factors a Fortran-ordered one in place."""
-        self.n_field = hw.shape[1] if hw is not None else 0
+    def __init__(self, hw: np.ndarray, hwb: np.ndarray, hbb: np.ndarray):
+        """``hw`` is the field block in lower-banded storage.  Like
+        ``BandedCholesky``, this takes ownership of ``hw`` and factors a
+        Fortran-ordered one in place."""
+        self.n_field = hw.shape[1]
         self.n_coef = hbb.shape[0]
         self._hbb = np.asarray(hbb, dtype=float)
         self._hwb = np.asarray(hwb, dtype=float).reshape(self.n_field, self.n_coef)
-        if self.n_field:
-            self._chol_w = BandedCholesky(hw)
-            self._w = (self._chol_w.solve(self._hwb) if self.n_coef
-                       else np.zeros((self.n_field, 0)))
-        else:
-            self._chol_w = None
-            self._w = np.zeros((0, self.n_coef))
+        self._chol_w = BandedCholesky(hw)
+        self._w = (self._chol_w.solve(self._hwb) if self.n_coef
+                   else np.zeros((self.n_field, 0)))
         schur = self._hbb - self._hwb.T @ self._w
         schur = 0.5 * (schur + schur.T)
         try:
@@ -200,14 +196,12 @@ class BorderedPrecision:
             raise NotSpdError(f"Schur complement not SPD: {exc}") from exc
 
     def logdet(self) -> float:
-        ld = self._chol_w.logdet() if self._chol_w is not None else 0.0
-        ld += 2.0 * float(np.sum(np.log(np.diag(self._chol_s[0]))))
-        return ld
+        return self._chol_w.logdet() + 2.0 * float(np.sum(np.log(np.diag(self._chol_s[0]))))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve H x = rhs for a full-length right-hand side."""
         rw, rb = rhs[: self.n_field], rhs[self.n_field:]
-        xw0 = self._chol_w.solve(rw) if self.n_field else rw
+        xw0 = self._chol_w.solve(rw)
         xb = cho_solve(self._chol_s, rb - self._hwb.T @ xw0)
         xw = xw0 - self._w @ xb
         return np.concatenate([xw, xb])
@@ -221,8 +215,6 @@ class BorderedPrecision:
         ls = np.tril(self._chol_s[0])
         zb = rng.standard_normal((self.n_coef, size))
         xb = np.linalg.solve(ls.T, zb)
-        if not self.n_field:
-            return xb
         zw = rng.standard_normal((self.n_field, size))
         xw = self._chol_w.solve_lt(zw) - self._w @ xb
         return np.vstack([xw, xb])
@@ -230,6 +222,6 @@ class BorderedPrecision:
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """H @ x without forming H densely."""
         xw, xb = x[: self.n_field], x[self.n_field:]
-        top = (self._chol_w.matvec(xw) if self.n_field else xw) + self._hwb @ xb
+        top = self._chol_w.matvec(xw) + self._hwb @ xb
         bottom = self._hwb.T @ xw + self._hbb @ xb
         return np.concatenate([top, bottom])

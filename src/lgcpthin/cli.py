@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -176,14 +177,25 @@ def _load_covariates(pairs: list[str]) -> dict[str, RasterGrid]:
     return out
 
 
+def _flagged(flag: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, with ``flag`` leading the message of its ValueError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from exc
+
+
 def _model_spec(args, covariate_names) -> ModelSpec:
-    return ModelSpec(
+    # NormalPrior checks the mean first, so a finite mean leaves the precision at fault
+    theta_flag = "--theta-precision" if math.isfinite(args.theta_mean) else "--theta-mean"
+    return _flagged(
+        "--zeta-fixed", ModelSpec,
         covariate_names=tuple(covariate_names),
         use_vse=args.model == "vse",
         pc_prior=PcPriorSpec(args.pc_rho0, args.pc_alpha_rho,
                              args.pc_sigma0, args.pc_alpha_sigma),
-        beta_prior=NormalPrior(0.0, args.beta_precision),
-        theta_prior=NormalPrior(args.theta_mean, args.theta_precision),
+        beta_prior=_flagged("--beta-precision", NormalPrior, 0.0, args.beta_precision),
+        theta_prior=_flagged(theta_flag, NormalPrior, args.theta_mean, args.theta_precision),
         zeta_fixed=args.zeta_fixed,
     )
 

@@ -11,8 +11,7 @@ hyperparameter space the joint mode of (field, coefficients) is found by
 Newton iterations, a Gaussian approximation is formed there, and nodes are
 weighted by their Laplace-approximated marginal likelihood.  Each evaluation
 is one :class:`HyperNode`; the fit keeps the grid nodes with positive weight.
-Models without a free hyperparameter have a single node.  Posterior
-marginals are Gaussian mixtures (coefficients) or interpolated grid
+Posterior marginals are Gaussian mixtures (coefficients) or interpolated grid
 marginals (hyperparameters).
 """
 
@@ -69,7 +68,6 @@ class ModelSpec:
     pc_prior: PcPriorSpec = PcPriorSpec()
     beta_prior: NormalPrior = NormalPrior(0.0, 0.01)
     theta_prior: NormalPrior = NormalPrior(1.0, 0.05)
-    include_field: bool = True
     zeta_fixed: float | None = None
     grid_points_per_dim: int = 5
 
@@ -78,12 +76,9 @@ class ModelSpec:
             raise ValueError(f"zeta_fixed must be nonnegative and finite, got {self.zeta_fixed}")
 
     def hyper_names(self) -> tuple[str, ...]:
-        names: list[str] = []
-        if self.include_field:
-            names += ["log_rho", "log_sigma"]
         if self.use_vse and self.zeta_fixed is None:
-            names.append("theta")
-        return tuple(names)
+            return ("log_rho", "log_sigma", "theta")
+        return ("log_rho", "log_sigma")
 
 
 @dataclass(frozen=True)
@@ -91,10 +86,10 @@ class HyperNode:
     """One Laplace evaluation: a hyper vector and the Gaussian latent
     approximation at it.
 
-    ``hyper`` is ordered as ``spec.hyper_names()`` (empty when the model has
-    no free hyperparameter); ``zeta`` is the thinning rate in force there: 0
-    for the naive model, ``zeta_fixed``, or exp(theta).  ``weight`` is the
-    node's normalized mixture weight in a fit (0 before normalization).
+    ``hyper`` is ordered as ``spec.hyper_names()``; ``zeta`` is the thinning
+    rate in force there: 0 for the naive model, ``zeta_fixed``, or
+    exp(theta).  ``weight`` is the node's normalized mixture weight in a fit
+    (0 before normalization).
     """
 
     hyper: np.ndarray
@@ -151,14 +146,11 @@ class _ModelContext:
         self.n_cells = grid.n_cells
 
         # latent field lives on the extended grid; fixed margin per fit
-        if spec.include_field:
-            ref = MaternParams(sigma=1.0, rho=spec.pc_prior.rho_median)
-            self.margin = extension_margin(grid, ref, _EXTENSION_FACTOR)
-        else:
-            self.margin = 0
+        ref = MaternParams(sigma=1.0, rho=spec.pc_prior.rho_median)
+        self.margin = extension_margin(grid, ref, _EXTENSION_FACTOR)
         self.ext_grid = grid.extended(self.margin)
-        self.n_field = self.ext_grid.n_cells if spec.include_field else 0
-        self.ops = _LatticeOperators(self.ext_grid) if spec.include_field else None
+        self.n_field = self.ext_grid.n_cells
+        self.ops = _LatticeOperators(self.ext_grid)
 
         # design: intercept + covariates at cells and at points.  Points use
         # their containing cell's value, the same functional the integral
@@ -176,14 +168,9 @@ class _ModelContext:
         self.x_points = np.column_stack(pts)
         self.n_coef = self.x_nodes.shape[1]
 
-        if spec.include_field:
-            self.sel_idx = self._selection_indices()
-            self.obs_idx = self._point_cells(pattern.points)
-            self._field_pull = np.bincount(self.obs_idx, minlength=self.n_field).astype(float)
-        else:
-            self.sel_idx = None
-            self.obs_idx = None
-            self._field_pull = None
+        self.sel_idx = self._selection_indices()
+        self.obs_idx = self._point_cells(pattern.points)
+        self._field_pull = np.bincount(self.obs_idx, minlength=self.n_field).astype(float)
         self._coef_pull = self.x_points.sum(axis=0)
 
         if spec.use_vse:
@@ -224,25 +211,17 @@ class _ModelContext:
     def eta(self, u: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
         """Linear predictor at nodes and points for latent vector u."""
         off_n, off_p = offsets
-        beta = u[self.n_field:]
-        eta_n = self.x_nodes @ beta + off_n
-        eta_p = self.x_points @ beta + off_p
-        if self.spec.include_field:
-            omega = u[: self.n_field]
-            eta_n = eta_n + omega[self.sel_idx]
-            eta_p = eta_p + omega[self.obs_idx]
+        omega, beta = u[: self.n_field], u[self.n_field:]
+        eta_n = self.x_nodes @ beta + off_n + omega[self.sel_idx]
+        eta_p = self.x_points @ beta + off_p + omega[self.obs_idx]
         return eta_n, eta_p
 
     def eta_many(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Linear predictor without the access offset for a (n, S) matrix of
         latent draws; returns (cells, S), (points, S)."""
-        beta = u[self.n_field:, :]
-        eta_n = self.x_nodes @ beta
-        eta_p = self.x_points @ beta
-        if self.spec.include_field:
-            omega = u[: self.n_field, :]
-            eta_n = eta_n + omega[self.sel_idx, :]
-            eta_p = eta_p + omega[self.obs_idx, :]
+        omega, beta = u[: self.n_field, :], u[self.n_field:, :]
+        eta_n = self.x_nodes @ beta + omega[self.sel_idx, :]
+        eta_p = self.x_points @ beta + omega[self.obs_idx, :]
         return eta_n, eta_p
 
     def loglik(self, u: np.ndarray, offsets) -> float:
@@ -255,8 +234,6 @@ class _ModelContext:
         with np.errstate(over="ignore"):
             lam = self.scheme.weights * np.exp(eta_n)
         grad_beta = -self.x_nodes.T @ lam + self._coef_pull
-        if not self.spec.include_field:
-            return grad_beta
         grad_omega = self._field_pull.copy()
         grad_omega[self.sel_idx] -= lam  # sel_idx hits each field node at most once
         return np.concatenate([grad_omega, grad_beta])
@@ -266,24 +243,19 @@ class _ModelContext:
         params = MaternParams(sigma=math.exp(log_sigma), rho=math.exp(log_rho))
         return self.ops.assemble(params)
 
-    def prior_at(self, v: np.ndarray) -> GmrfPrecision | None:
-        """The field prior at hyper vector v; None for a model without a field."""
-        return self.field_precision(v[0], v[1]) if self.spec.include_field else None
+    def prior_at(self, v: np.ndarray) -> GmrfPrecision:
+        """The field prior at hyper vector v."""
+        return self.field_precision(v[0], v[1])
 
-    def prior_quad_and_grad(self, u, prior: GmrfPrecision | None):
+    def prior_quad_and_grad(self, u, prior: GmrfPrecision):
         """-1/2 u' Q u (field + coefficient blocks) and its gradient."""
-        beta = u[self.n_field:]
+        omega, beta = u[: self.n_field], u[self.n_field:]
         prec_b = self.spec.beta_prior.precision
-        val = -0.5 * prec_b * float(beta @ beta)
-        grad_beta = -prec_b * beta
-        if self.n_field:
-            omega = u[: self.n_field]
-            q_omega = prior.matvec(omega)
-            val += -0.5 * float(omega @ q_omega)
-            return val, np.concatenate([-q_omega, grad_beta])
-        return val, grad_beta
+        q_omega = prior.matvec(omega)
+        val = -0.5 * prec_b * float(beta @ beta) - 0.5 * float(omega @ q_omega)
+        return val, np.concatenate([-q_omega, -prec_b * beta])
 
-    def log_post(self, u: np.ndarray, prior: GmrfPrecision | None, offsets):
+    def log_post(self, u: np.ndarray, prior: GmrfPrecision, offsets):
         """Latent log-posterior (up to a constant) and its prior gradient."""
         val, prior_grad = self.prior_quad_and_grad(u, prior)
         return self.loglik(u, offsets) + val, prior_grad
@@ -294,13 +266,11 @@ class _ModelContext:
         with np.errstate(over="ignore"):
             return self.scheme.weights * np.exp(np.minimum(eta_n, 500.0))
 
-    def hessian(self, curvature: np.ndarray, prior: GmrfPrecision | None) -> BorderedPrecision:
+    def hessian(self, curvature: np.ndarray, prior: GmrfPrecision) -> BorderedPrecision:
         """Negated Hessian of the penalized objective at Poisson weights
         ``curvature = w_i exp(eta_i)``; SPD by construction."""
         prec_b = self.spec.beta_prior.precision
         hbb = self.x_nodes.T @ (curvature[:, None] * self.x_nodes) + prec_b * np.eye(self.n_coef)
-        if prior is None:
-            return BorderedPrecision(None, np.zeros((0, self.n_coef)), hbb)
         hwb = np.zeros((self.n_field, self.n_coef))
         hwb[self.sel_idx] = curvature[:, None] * self.x_nodes
         hw = np.array(prior.banded, order="F")  # factored in place; the prior's band is kept
@@ -309,40 +279,26 @@ class _ModelContext:
 
     def hyper_log_prior(self, v: np.ndarray) -> float:
         """Prior density of the hyper vector, with log-scale Jacobians."""
-        spec = self.spec
-        names = spec.hyper_names()
-        total = 0.0
-        vals = dict(zip(names, v))
-        if "log_rho" in vals:
-            rho = math.exp(vals["log_rho"])
-            sigma = math.exp(vals["log_sigma"])
-            total += pc_prior_logdensity(rho, sigma, spec.pc_prior)
-            total += vals["log_rho"] + vals["log_sigma"]  # Jacobians
-        if "theta" in vals:
-            total += spec.theta_prior.logpdf(vals["theta"])
+        log_rho, log_sigma, *theta = v
+        total = pc_prior_logdensity(math.exp(log_rho), math.exp(log_sigma), self.spec.pc_prior)
+        total += log_rho + log_sigma  # Jacobians
+        if theta:
+            total += self.spec.theta_prior.logpdf(theta[0])
         return total
 
     def hyper_start(self) -> np.ndarray:
         spec = self.spec
-        start = []
-        if spec.include_field:
-            start += [math.log(spec.pc_prior.rho_median), math.log(spec.pc_prior.sigma_median)]
-        if spec.use_vse and spec.zeta_fixed is None:
-            start.append(spec.theta_prior.mean)
-        return np.array(start)
+        start = [math.log(spec.pc_prior.rho_median), math.log(spec.pc_prior.sigma_median),
+                 spec.theta_prior.mean]
+        return np.array(start[:len(spec.hyper_names())])
 
     def hyper_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Generous box constraints keeping hyper search numerically sane."""
-        spec = self.spec
-        lo, hi = [], []
-        if spec.include_field:
-            extent = max(self.grid.nx, self.grid.ny) * self.grid.cell_size
-            lo += [math.log(0.5 * self.grid.cell_size), -6.0]
-            hi += [math.log(20.0 * extent), 6.0]
-        if spec.use_vse and spec.zeta_fixed is None:
-            lo.append(-12.0)
-            hi.append(12.0)
-        return np.array(lo), np.array(hi)
+        extent = max(self.grid.nx, self.grid.ny) * self.grid.cell_size
+        lo = [math.log(0.5 * self.grid.cell_size), -6.0, -12.0]
+        hi = [math.log(20.0 * extent), 6.0, 12.0]
+        d = len(self.spec.hyper_names())
+        return np.array(lo[:d]), np.array(hi[:d])
 
     def zeta_of(self, v: np.ndarray) -> float:
         spec = self.spec
@@ -357,7 +313,7 @@ class _ModelContext:
 # Inner Newton optimization and Laplace marginal
 # ---------------------------------------------------------------------------
 
-def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision | None, offsets, u0: np.ndarray):
+def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarray):
     """Maximize loglik + log prior over the latent vector.
 
     Returns (mode, hessian, curvature weights, objective). The objective must
@@ -410,7 +366,7 @@ def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None) -> H
         prior = ctx.prior_at(v)
     except (ValueError, OverflowError):
         return None
-    logdet_q = prior.logdet() if prior is not None else 0.0
+    logdet_q = prior.logdet()
     if not math.isfinite(logdet_q):
         return None
     logdet_q += ctx.n_coef * math.log(spec.beta_prior.precision)
@@ -773,12 +729,12 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     """
     ctx = _ModelContext(pattern, covariates, roads, spec)
 
-    # initialize coefficients from a field-free GLM fit
-    glm_spec = replace(spec, include_field=False, use_vse=spec.use_vse and spec.zeta_fixed is not None)
-    glm_ctx = _ModelContext(pattern, covariates, roads, glm_spec)
-    glm_mode, _, _, _ = _newton_mode(
-        glm_ctx, None, glm_ctx.offsets(ctx.zeta_of(ctx.hyper_start())), np.zeros(glm_ctx.n_coef))
-    warm = {"u": np.concatenate([np.zeros(ctx.n_field), glm_mode])}
+    # Newton starts from the intercept-only Poisson fit: zero field, zero
+    # slopes, and the intercept at log(points per unit area), which saves
+    # Newton steps over a start at zero
+    u0 = np.zeros(ctx.n_field + ctx.n_coef)
+    u0[ctx.n_field] = math.log(ctx.n_points / ctx.scheme.domain_area)
+    warm = {"u": u0}
 
     # hyper_grid memoizes on this rounded key, so each node is evaluated once
     evaluated: dict[tuple, HyperNode] = {}

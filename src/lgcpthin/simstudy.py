@@ -62,8 +62,12 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.replicates < 1:
             raise ValueError("need at least one replicate")
-        if any(z < 0 for z in self.zeta_levels):
-            raise ValueError("zeta levels must be nonnegative")
+        if not self.zeta_levels or not all(math.isfinite(z) and z >= 0 for z in self.zeta_levels):
+            raise ValueError(f"zeta_levels must be one or more nonnegative finite values, got {self.zeta_levels}")
+        if self.informative_mean is not None and not math.isfinite(self.informative_mean):
+            raise ValueError(f"informative_mean must be finite, got {self.informative_mean}")
+        if not (math.isfinite(self.informative_precision) and self.informative_precision > 0):
+            raise ValueError(f"informative_precision must be positive and finite, got {self.informative_precision}")
         if self.theta_prior_preset not in ("default", "informative"):
             raise ValueError("theta_prior_preset must be 'default' or 'informative'")
         if not 0.0 < self.nominal_level < 1.0:

@@ -56,10 +56,8 @@ def gelman_rubin(chains: np.ndarray) -> float:
     return float(np.sqrt(var_hat / w))
 
 
-def _log_field_prior(omega, prior: GmrfPrecision | None) -> float:
+def _log_field_prior(omega, prior: GmrfPrecision) -> float:
     """log N(omega; 0, Q^-1) up to the 2 pi factor; -inf where Q is singular."""
-    if prior is None:
-        return 0.0
     logdet = prior.logdet()
     if not math.isfinite(logdet):
         return -math.inf
@@ -185,7 +183,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             # halfway through burn-in, re-precondition at the hypers the
             # chain actually visits; the start-of-chain mass can be badly
             # scaled when the hyper posterior sits far from its prior start
-            if it == cfg.n_burn // 2 and spec.include_field:
+            if it == cfg.n_burn // 2:
                 refreshed = _laplace_at(ctx, v, u)
                 if refreshed is not None:
                     mass = ctx.hessian(refreshed.curvature_weights, prior)

@@ -330,11 +330,12 @@ class TestErrorHandling:
         (["--zeta-fixed", "-1"], "zeta_fixed must be nonnegative and finite"),
         (["--beta-precision", "0"], "prior precision must be positive and finite"),
         (["--theta-mean", "nan"], "prior mean must be finite"),
+        (["--theta-precision", "0"], "prior precision must be positive and finite"),
     ])
     def test_fit_rejects_bad_model_values(self, world, thinned, tmp_path, capsys, flag, message):
         code = main(fit_args(world, thinned / "thinned.csv", tmp_path / "o", "vse") + flag)
         assert code == 1
-        assert message in capsys.readouterr().err
+        assert f"{flag[0]}: {message}" in capsys.readouterr().err
 
     def test_missing_file(self, world, tmp_path, capsys):
         code = main(["explore", "--points", str(tmp_path / "nope.csv"),

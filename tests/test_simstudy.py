@@ -155,8 +155,15 @@ class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             ScenarioConfig(replicates=0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(zeta_levels=(-1.0,))
+        for levels in ((-1.0,), (), (float("nan"),), (0.0, float("inf"))):
+            with pytest.raises(ValueError, match="zeta_levels"):
+                ScenarioConfig(zeta_levels=levels)
+        for precision in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="informative_precision"):
+                ScenarioConfig(informative_precision=precision)
+        for mean in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="informative_mean"):
+                ScenarioConfig(informative_mean=mean)
         with pytest.raises(ValueError):
             ScenarioConfig(theta_prior_preset="vague")
         for level in (0.0, 1.0, 1.5, -0.5, float("nan")):
