@@ -186,8 +186,7 @@ class BorderedPrecision:
         self._hbb = np.asarray(hbb, dtype=float)
         self._hwb = np.asarray(hwb, dtype=float).reshape(self.n_field, self.n_coef)
         self._chol_w = BandedCholesky(hw)
-        self._w = (self._chol_w.solve(self._hwb) if self.n_coef
-                   else np.zeros((self.n_field, 0)))
+        self._w = self._chol_w.solve(self._hwb)
         schur = self._hbb - self._hwb.T @ self._w
         schur = 0.5 * (schur + schur.T)
         try:

@@ -194,7 +194,7 @@ def _model_spec(args, covariate_names) -> ModelSpec:
         use_vse=args.model == "vse",
         pc_prior=PcPriorSpec(args.pc_rho0, args.pc_alpha_rho,
                              args.pc_sigma0, args.pc_alpha_sigma),
-        beta_prior=_flagged("--beta-precision", NormalPrior, 0.0, args.beta_precision),
+        beta_prior=_flagged("--beta-precision", NormalPrior, ModelSpec.beta_prior.mean, args.beta_precision),
         theta_prior=_flagged(theta_flag, NormalPrior, args.theta_mean, args.theta_precision),
         zeta_fixed=args.zeta_fixed,
     )
@@ -254,6 +254,8 @@ def cmd_explore(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not args.sigma >= 0:
+        raise LgcpThinError(f"--sigma must be at least 0 (0 disables the field), got {args.sigma}")
     run = _Run("simulate", args)
     covs = _load_covariates(args.covariate)
     names = list(covs)
@@ -284,6 +286,9 @@ def cmd_thin(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.assess_draws != 0 and args.assess_draws < assess.MIN_SAMPLES:
+        raise LgcpThinError(f"--assess-draws must be 0 (no scoring) or at least "
+                            f"{assess.MIN_SAMPLES}, got {args.assess_draws}")
     run = _Run("fit", args)
     covs = _load_covariates(args.covariate)
     grid = covs[next(iter(covs))].grid
@@ -417,14 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assess-draws", type=int, default=200,
                    help="posterior draws for DIC/WAIC/LPML; 0 skips scoring")
     # priors; 'predict' takes them, and the model, from the fit's manifest
-    p.add_argument("--pc-rho0", type=float, default=15.0)
-    p.add_argument("--pc-alpha-rho", type=float, default=0.05)
-    p.add_argument("--pc-sigma0", type=float, default=1.0)
-    p.add_argument("--pc-alpha-sigma", type=float, default=0.05)
-    p.add_argument("--beta-precision", type=float, default=0.01)
-    p.add_argument("--theta-mean", type=float, default=1.0)
-    p.add_argument("--theta-precision", type=float, default=0.05)
-    p.add_argument("--zeta-fixed", type=float, default=None)
+    p.add_argument("--pc-rho0", type=float, default=PcPriorSpec.rho0)
+    p.add_argument("--pc-alpha-rho", type=float, default=PcPriorSpec.alpha_rho)
+    p.add_argument("--pc-sigma0", type=float, default=PcPriorSpec.sigma0)
+    p.add_argument("--pc-alpha-sigma", type=float, default=PcPriorSpec.alpha_sigma)
+    p.add_argument("--beta-precision", type=float, default=ModelSpec.beta_prior.precision)
+    p.add_argument("--theta-mean", type=float, default=ModelSpec.theta_prior.mean)
+    p.add_argument("--theta-precision", type=float, default=ModelSpec.theta_prior.precision)
+    p.add_argument("--zeta-fixed", type=float, default=ModelSpec.zeta_fixed)
     _add_common(p)
     p.set_defaults(func=cmd_fit)
 
@@ -438,20 +443,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("simstudy", help="run the simulate/thin/fit/compare protocol")
-    p.add_argument("--replicates", type=int, default=20)
-    p.add_argument("--zeta-levels", default=[0.0, 1.0, 8.0, 16.0], nargs="+", type=float)
-    p.add_argument("--posterior-draws", type=int, default=100)
-    p.add_argument("--theta-prior", choices=["default", "informative"], default="default")
-    p.add_argument("--informative-mean", type=float, default=None)
-    p.add_argument("--informative-precision", type=float, default=10.0)
-    p.add_argument("--level", type=float, default=0.95)
-    p.add_argument("--grid-n", type=int, default=20)
-    p.add_argument("--domain-size", type=float, default=150.0)
-    p.add_argument("--self-test", action="store_true")
-    p.add_argument("--threads", type=int, default=1,
+    study = ScenarioConfig
+    p.add_argument("--replicates", type=int, default=study.replicates)
+    p.add_argument("--zeta-levels", default=list(study.zeta_levels), nargs="+", type=float)
+    p.add_argument("--posterior-draws", type=int, default=study.posterior_draws_per_fit)
+    p.add_argument("--theta-prior", choices=["default", "informative"], default=study.theta_prior_preset)
+    p.add_argument("--informative-mean", type=float, default=study.informative_mean)
+    p.add_argument("--informative-precision", type=float, default=study.informative_precision)
+    p.add_argument("--level", type=float, default=study.nominal_level)
+    p.add_argument("--grid-n", type=int, default=study.grid_n)
+    p.add_argument("--domain-size", type=float, default=study.domain_size)
+    p.add_argument("--self-test", action="store_true", default=study.self_test)
+    p.add_argument("--threads", type=int, default=study.threads,
                    help="replicates in parallel threads of one interpreter")
     _add_common(p)
-    p.set_defaults(func=cmd_simstudy)
+    p.set_defaults(func=cmd_simstudy, seed=study.seed)
 
     p = sub.add_parser("report", help="criteria comparison CSV across fits")
     p.add_argument("--fits", nargs="+", required=True)

@@ -21,6 +21,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -69,7 +70,7 @@ class ModelSpec:
     beta_prior: NormalPrior = NormalPrior(0.0, 0.01)
     theta_prior: NormalPrior = NormalPrior(1.0, 0.05)
     zeta_fixed: float | None = None
-    grid_points_per_dim: int = 5
+    grid_points_per_dim: ClassVar[int] = 5  # hyper grid nodes per dimension
 
     def __post_init__(self):
         if self.zeta_fixed is not None and not (math.isfinite(self.zeta_fixed) and self.zeta_fixed >= 0):
@@ -403,24 +404,25 @@ class HyperGrid:
     diagnostics: dict
 
 
-def hyper_grid(log_marginal, start: np.ndarray, n_points: int = 5,
+def _node_key(v: np.ndarray) -> tuple:  # rounded, so that one hyper node has one key
+    return tuple(np.round(v, 10))
+
+
+def hyper_grid(log_marginal, start: np.ndarray,
                prescan: dict[int, np.ndarray] | None = None) -> HyperGrid:
     """Locate the hyper posterior mode and lay a regular grid around it.
 
     ``log_marginal`` maps a hyper vector to its Laplace log marginal (or
     ``-inf`` where it cannot be evaluated).  Mode search is derivative-free
-    (Nelder-Mead); the grid spans +- 2.5 approximate posterior standard
-    deviations per dimension, obtained from a finite-difference Hessian at
-    the mode.  On optimizer failure the spread falls back to 0.75 around the
-    best center found, and the fallback is reported in the diagnostics.
+    (Nelder-Mead); the grid's ``ModelSpec.grid_points_per_dim`` nodes per
+    dimension span +- 2.5 approximate posterior sds, from a finite-difference
+    Hessian at the mode.  On optimizer failure the spread falls back to 0.75
+    around the best center found, and the fallback is reported in diagnostics.
 
     ``prescan`` maps a dimension index to candidate offsets from ``start``;
     the best candidate seeds the search.  Useful for weakly identified
     dimensions (the thinning rate on lightly thinned data) where a cold
     simplex can strand in a flat region.
-
-    With no dimensions (d = 0) there is nothing to search: the grid is the
-    single empty vector, evaluated once.
     """
     start = np.atleast_1d(np.asarray(start, dtype=float))
     dim = start.size
@@ -429,7 +431,7 @@ def hyper_grid(log_marginal, start: np.ndarray, n_points: int = 5,
     cache: dict[tuple, float] = {}
 
     def f(v):
-        key = tuple(np.round(v, 10))
+        key = _node_key(v)
         if key not in cache:
             cache[key] = float(log_marginal(np.asarray(v)))
             diagnostics["n_evals"] += 1
@@ -442,42 +444,41 @@ def hyper_grid(log_marginal, start: np.ndarray, n_points: int = 5,
 
     center = start
     spread = np.full(dim, _FALLBACK_SPREAD)
-    if dim:
-        try:
-            simplex = np.vstack([start] + [_with_axis(start, i, start[i] + 0.6) for i in range(dim)])
-            res = minimize(lambda v: -f(v), start, method="Nelder-Mead",
-                           options={"maxfev": _MAX_EVALS, "xatol": 0.05, "fatol": 0.02,
-                                    "initial_simplex": simplex})
-            if not np.isfinite(res.fun):
-                raise FitError("mode search ended at a non-finite marginal")
-            center = np.atleast_1d(res.x)
-            # central-difference Hessian of the log marginal at the mode
-            h = 0.15
-            hess = np.zeros((dim, dim))
-            f0 = f(center)
-            for i in range(dim):
-                ei = np.zeros(dim); ei[i] = h
-                hess[i, i] = (f(center + ei) - 2 * f0 + f(center - ei)) / h ** 2
-                for j in range(i + 1, dim):
-                    ej = np.zeros(dim); ej[j] = h
-                    hess[i, j] = hess[j, i] = (
-                        f(center + ei + ej) - f(center + ei - ej)
-                        - f(center - ei + ej) + f(center - ei - ej)) / (4 * h * h)
-            cov = np.linalg.inv(-hess)
-            if np.any(np.diag(cov) <= 0) or not np.all(np.isfinite(cov)):
-                raise FitError("non-concave finite-difference Hessian at the mode")
-            spread = np.sqrt(np.diag(cov))
-        except (FitError, np.linalg.LinAlgError) as exc:
-            # keep the best center found; the spread stays at its fallback
-            diagnostics["fallback"] = True
-            diagnostics["reason"] = str(exc)
-        # flat or cliff-edged marginals give absurd curvature scales; the grid
-        # stays informative with the spread boxed to a sane band
-        spread = np.clip(spread, 0.05, 3.0)
+    try:
+        simplex = np.vstack([start] + [_with_axis(start, i, start[i] + 0.6) for i in range(dim)])
+        res = minimize(lambda v: -f(v), start, method="Nelder-Mead",
+                       options={"maxfev": _MAX_EVALS, "xatol": 0.05, "fatol": 0.02,
+                                "initial_simplex": simplex})
+        if not np.isfinite(res.fun):
+            raise FitError("mode search ended at a non-finite marginal")
+        center = np.atleast_1d(res.x)
+        # central-difference Hessian of the log marginal at the mode
+        h = 0.15
+        hess = np.zeros((dim, dim))
+        f0 = f(center)
+        for i in range(dim):
+            ei = np.zeros(dim); ei[i] = h
+            hess[i, i] = (f(center + ei) - 2 * f0 + f(center - ei)) / h ** 2
+            for j in range(i + 1, dim):
+                ej = np.zeros(dim); ej[j] = h
+                hess[i, j] = hess[j, i] = (
+                    f(center + ei + ej) - f(center + ei - ej)
+                    - f(center - ei + ej) + f(center - ei - ej)) / (4 * h * h)
+        cov = np.linalg.inv(-hess)
+        if np.any(np.diag(cov) <= 0) or not np.all(np.isfinite(cov)):
+            raise FitError("non-concave finite-difference Hessian at the mode")
+        spread = np.sqrt(np.diag(cov))
+    except (FitError, np.linalg.LinAlgError) as exc:
+        # keep the best center found; the spread stays at its fallback
+        diagnostics["fallback"] = True
+        diagnostics["reason"] = str(exc)
+    # flat or cliff-edged marginals give absurd curvature scales; the grid
+    # stays informative with the spread boxed to a sane band
+    spread = np.clip(spread, 0.05, 3.0)
 
-    offsets = np.linspace(-_SPAN_SD, _SPAN_SD, n_points)
+    offsets = np.linspace(-_SPAN_SD, _SPAN_SD, ModelSpec.grid_points_per_dim)
     axes = [center[i] + offsets * spread[i] for i in range(dim)]
-    nodes = np.array(list(itertools.product(*axes)))  # d = 0: one empty vector
+    nodes = np.array(list(itertools.product(*axes)))
     lms = np.array([f(v) for v in nodes])
     finite = np.isfinite(lms)
     if not finite.any():
@@ -736,7 +737,7 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     u0[ctx.n_field] = math.log(ctx.n_points / ctx.scheme.domain_area)
     warm = {"u": u0}
 
-    # hyper_grid memoizes on this rounded key, so each node is evaluated once
+    # keyed as hyper_grid's memo, so each node is evaluated once
     evaluated: dict[tuple, HyperNode] = {}
     lo, hi = ctx.hyper_bounds()
 
@@ -747,7 +748,7 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
         if node is None:
             return -np.inf
         warm["u"] = node.mode
-        evaluated[tuple(np.round(v, 10))] = node
+        evaluated[_node_key(v)] = node
         return node.laplace_log_marginal
 
     hyper_names = spec.hyper_names()
@@ -756,10 +757,9 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
         # the thinning rate is weakly identified on lightly thinned data;
         # scan its axis first so the simplex starts in the right basin
         prescan = {len(hyper_names) - 1: np.array([-8.0, -6.0, -4.0, -2.0, 0.0, 2.0])}
-    grid = hyper_grid(log_marginal, ctx.hyper_start(),
-                      n_points=spec.grid_points_per_dim, prescan=prescan)
+    grid = hyper_grid(log_marginal, ctx.hyper_start(), prescan=prescan)
 
-    nodes = [replace(evaluated[tuple(np.round(v, 10))], weight=float(w))
+    nodes = [replace(evaluated[_node_key(v)], weight=float(w))
              for v, w in zip(grid.nodes, grid.weights) if w > 0.0]
     total = sum(n.weight for n in nodes)
     nodes = [replace(n, weight=n.weight / total) for n in nodes]
@@ -784,6 +784,8 @@ def predict_intensity(result: FitResult, draws: int = 1000, seed=0):
     species intensity, not the observation intensity, so naive and VSE
     surfaces are directly comparable.
     """
+    if draws < 2:  # the sd raster needs two draws
+        raise ValueError(f"draws must be at least 2, got {draws}")
     ctx = result._ctx
     u, _ = result.sample_latent(np.random.default_rng(seed), draws)
     eta_n, _ = ctx.eta_many(u)

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
+from typing import ClassVar
 
 import numpy as np
 
@@ -35,14 +36,14 @@ TARGET_HEAVY_REMOVAL = 0.49     # fraction of points the heaviest thinning level
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Knobs of one simulation study run."""
+    """Knobs of one simulation study run; the ``true_*`` values are fixed by the design."""
 
     zeta_levels: tuple[float, ...] = (0.0, 1.0, 8.0, 16.0)
     replicates: int = 20
-    true_beta0: float = -4.25
-    true_beta1: float = 0.82
-    true_rho: float = 34.0
-    true_sigma: float = math.sqrt(0.7)
+    true_beta0: ClassVar[float] = -4.25
+    true_beta1: ClassVar[float] = 0.82
+    true_rho: ClassVar[float] = 34.0
+    true_sigma: ClassVar[float] = math.sqrt(0.7)
     posterior_draws_per_fit: int = 100
     theta_prior_preset: str = "default"        # "default" | "informative"
     informative_mean: float | None = None      # None: log of the scenario's zeta
@@ -52,8 +53,7 @@ class ScenarioConfig:
     domain_size: float = 150.0
     grid_n: int = 20
     road_spacing: float = 50.0
-    pc_prior: PcPriorSpec = PcPriorSpec(rho0=15.0, alpha_rho=0.05,
-                                        sigma0=1.0, alpha_sigma=0.05)
+    pc_prior: PcPriorSpec = PcPriorSpec()
     models: tuple[str, ...] = ("naive", "vse")
     self_test: bool = False
     score_fits: bool = True
@@ -271,7 +271,7 @@ def calibrate_zeta_scale(assets: DomainAssets, config: ScenarioConfig) -> float:
 
 def _theta_prior_for(config: ScenarioConfig, zeta_level: float) -> NormalPrior:
     if config.theta_prior_preset == "default":
-        return NormalPrior(1.0, 0.05)
+        return ModelSpec.theta_prior
     mean = config.informative_mean
     if mean is None:
         mean = math.log(zeta_level) if zeta_level > 0 else 1.0

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from lgcpthin import geo
-from lgcpthin.cli import _parse_args, build_parser, main, read_config
+from lgcpthin import cli, geo
+from lgcpthin.cli import _model_spec, _parse_args, build_parser, main, read_config
 from lgcpthin.errors import ParseError
 from lgcpthin.geo import Grid, RasterGrid, RoadNetwork
+from lgcpthin.inference import ModelSpec
+from lgcpthin.simstudy import ScenarioConfig
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +208,28 @@ class TestSimstudyCommand:
         assert (out / "coverage.csv").exists()
 
 
+class TestDefaults:
+    """A flag left out gives the library's default."""
+
+    def test_fit_builds_the_default_spec(self):
+        args = build_parser().parse_args(["fit", "--points", "p", "--covariate", "x1=a",
+                                          "--out", "o"])
+        assert _model_spec(args, ["x1"]) == ModelSpec(("x1",))
+
+    def test_simstudy_builds_the_default_config(self, tmp_path, monkeypatch):
+        class Built(Exception):
+            pass
+
+        def capture(config):
+            raise Built(config)
+
+        monkeypatch.setattr(cli, "run_scenarios", capture)
+        args = build_parser().parse_args(["simstudy", "--out", str(tmp_path)])
+        with pytest.raises(Built) as exc:
+            args.func(args)
+        assert exc.value.args[0] == ScenarioConfig()
+
+
 class TestConfigFile:
     def test_values_fill_defaults_and_flags_win(self, world, simulated, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -336,6 +360,25 @@ class TestErrorHandling:
         code = main(fit_args(world, thinned / "thinned.csv", tmp_path / "o", "vse") + flag)
         assert code == 1
         assert f"{flag[0]}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("draws", ["50", "-5"])
+    def test_fit_assess_draws_checked_before_fitting(self, world, thinned, tmp_path, capsys,
+                                                     draws):
+        out = tmp_path / "o"
+        code = main(fit_args(world, thinned / "thinned.csv", out, "naive")
+                    + ["--assess-draws", draws])
+        assert code == 1
+        assert f"--assess-draws must be 0 (no scoring) or at least 100, got {draws}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("sigma", ["-0.5", "nan"])
+    def test_simulate_rejects_bad_sigma(self, world, tmp_path, capsys, sigma):
+        out = tmp_path / "o"
+        code = main(simulate_args(world, out) + ["--sigma", sigma])
+        assert code == 1
+        assert "--sigma must be at least 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_file(self, world, tmp_path, capsys):
         code = main(["explore", "--points", str(tmp_path / "nope.csv"),

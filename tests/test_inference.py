@@ -454,6 +454,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="zeta_fixed must be nonnegative and finite"):
             ModelSpec(covariate_names=("x1",), use_vse=True, zeta_fixed=zeta)
 
+    def test_grid_size_is_a_constant(self):
+        assert ModelSpec(("x1",)).grid_points_per_dim == 5
+        with pytest.raises(TypeError):
+            ModelSpec(("x1",), grid_points_per_dim=3)
+
 
 class TestPredict:
     def test_zero_variance_draws_give_zero_sd(self):
@@ -469,6 +474,12 @@ class TestPredict:
         med2, _ = predict_intensity(result, draws=4000, seed=6)
         rel = np.abs(med1.values - med2.values) / np.maximum(np.abs(med2.values), 1e-9)
         assert np.median(rel) < 0.02
+
+    @pytest.mark.parametrize("draws", [1, 0, -3])
+    def test_rejects_fewer_than_two_draws(self, small_fit, draws):
+        result, _, _ = small_fit
+        with pytest.raises(ValueError, match=f"draws must be at least 2, got {draws}"):
+            predict_intensity(result, draws=draws)
 
 
 class TestMcmc:

@@ -175,3 +175,8 @@ class TestConfigValidation:
         for threads in (0, -3):
             with pytest.raises(ValueError, match="threads"):
                 ScenarioConfig(threads=threads)
+
+    def test_truth_is_a_constant(self):
+        assert ScenarioConfig().true_beta1 == 0.82
+        with pytest.raises(TypeError):
+            ScenarioConfig(true_beta1=0.5)
