@@ -104,9 +104,17 @@ class _OneBlasThread:
                 for set_n, count in self._saved:
                     set_n(count)
 
+    def _reset_in_child(self):
+        """A forked child has one thread: the parent's holders of the lock and
+        the pin are not in it, so it starts with a free lock and depth 0."""
+        self._lock = threading.Lock()
+        self._depth = 0
+
 
 # one instance for the process, because the thread count it guards is global
 _one_blas_thread = _OneBlasThread()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_one_blas_thread._reset_in_child)
 
 
 class BandedCholesky:

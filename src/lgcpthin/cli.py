@@ -23,7 +23,7 @@ from lgcpthin.geo import Grid, RasterGrid
 from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
 from lgcpthin.inference import FitResult, ModelSpec, NormalPrior, fit, predict_intensity
 from lgcpthin.pointprocess import ThinningConfig, make_log_intensity, simulate_lgcp, thin
-from lgcpthin.simstudy import ScenarioConfig, coverage_table, run_scenarios
+from lgcpthin.simstudy import THETA_PRIOR_PRESETS, ScenarioConfig, coverage_table, run_scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicates", type=int, default=study.replicates)
     p.add_argument("--zeta-levels", default=list(study.zeta_levels), nargs="+", type=float)
     p.add_argument("--posterior-draws", type=int, default=study.posterior_draws_per_fit)
-    p.add_argument("--theta-prior", choices=["default", "informative"], default=study.theta_prior_preset)
+    p.add_argument("--theta-prior", choices=THETA_PRIOR_PRESETS, default=study.theta_prior_preset)
     p.add_argument("--informative-mean", type=float, default=study.informative_mean)
     p.add_argument("--informative-precision", type=float, default=study.informative_precision)
     p.add_argument("--level", type=float, default=study.nominal_level)
@@ -455,7 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain-size", type=float, default=study.domain_size)
     p.add_argument("--self-test", action="store_true", default=study.self_test)
     p.add_argument("--threads", type=int, default=study.threads,
-                   help="replicates in parallel threads of one interpreter")
+                   help="replicates in this many forked worker processes (Linux; serial elsewhere)")
     _add_common(p)
     p.set_defaults(func=cmd_simstudy, seed=study.seed)
 

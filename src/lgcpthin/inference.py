@@ -426,6 +426,8 @@ def hyper_grid(log_marginal, start: np.ndarray,
     """
     start = np.atleast_1d(np.asarray(start, dtype=float))
     dim = start.size
+    if dim == 0:
+        raise ValueError("start must hold at least one hyperparameter")
     diagnostics: dict = {"fallback": False, "n_evals": 0}
 
     cache: dict[tuple, float] = {}

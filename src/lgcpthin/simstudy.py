@@ -17,7 +17,9 @@ whether it covers the truth.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+import multiprocessing
+import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import ClassVar
 
@@ -32,6 +34,12 @@ from lgcpthin.pointprocess import ThinningConfig, make_log_intensity, simulate_l
 
 COVARIATE_DISTANCE_CORR = -0.4  # built correlation of the covariate with road distance
 TARGET_HEAVY_REMOVAL = 0.49     # fraction of points the heaviest thinning level removes
+THETA_PRIOR_PRESETS = ("default", "informative")  # theta priors a study can fit with
+
+# Workers are forked, so they start from the parent's imports and set-up.
+# Windows has no fork and macOS's system libraries are not fork-safe, so
+# there the replicates run serially whatever ``threads`` is.
+_FORK_WORKERS = "fork" in multiprocessing.get_all_start_methods() and sys.platform != "darwin"
 
 
 @dataclass(frozen=True)
@@ -45,7 +53,7 @@ class ScenarioConfig:
     true_rho: ClassVar[float] = 34.0
     true_sigma: ClassVar[float] = math.sqrt(0.7)
     posterior_draws_per_fit: int = 100
-    theta_prior_preset: str = "default"        # "default" | "informative"
+    theta_prior_preset: str = "default"        # one of THETA_PRIOR_PRESETS
     informative_mean: float | None = None      # None: log of the scenario's zeta
     informative_precision: float = 10.0
     seed: int = 0
@@ -57,7 +65,7 @@ class ScenarioConfig:
     models: tuple[str, ...] = ("naive", "vse")
     self_test: bool = False
     score_fits: bool = True
-    threads: int = 1
+    threads: int = 1                           # worker processes for the replicates
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -68,8 +76,9 @@ class ScenarioConfig:
             raise ValueError(f"informative_mean must be finite, got {self.informative_mean}")
         if not (math.isfinite(self.informative_precision) and self.informative_precision > 0):
             raise ValueError(f"informative_precision must be positive and finite, got {self.informative_precision}")
-        if self.theta_prior_preset not in ("default", "informative"):
-            raise ValueError("theta_prior_preset must be 'default' or 'informative'")
+        if self.theta_prior_preset not in THETA_PRIOR_PRESETS:
+            raise ValueError(f"theta_prior_preset must be one of {THETA_PRIOR_PRESETS}, "
+                             f"got {self.theta_prior_preset!r}")
         if not 0.0 < self.nominal_level < 1.0:
             raise ValueError(f"nominal_level must be in (0, 1), got {self.nominal_level}")
         if self.posterior_draws_per_fit < 1:
@@ -361,7 +370,12 @@ def _one_replicate(args):
 
 def run_scenarios(config: ScenarioConfig,
                   assets: DomainAssets | None = None) -> ScenarioResult:
-    """Run the full protocol; aborts when more than 20% of fits fail."""
+    """Run the full protocol; aborts when more than 20% of fits fail.
+
+    With ``config.threads > 1`` the replicates run in that many forked worker
+    processes, all ended before this returns or raises; where fork is not
+    safe they run serially.  Rows are bit for bit the same either way.
+    """
     if assets is None:
         assets = synthetic_assets(config)
     scale = calibrate_zeta_scale(assets, config)
@@ -377,8 +391,10 @@ def run_scenarios(config: ScenarioConfig,
             child = np.random.SeedSequence([config.seed, level_key, rep])
             tasks.append((config, assets, s_idx, zeta, rep, child))
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
+    if config.threads > 1 and _FORK_WORKERS:
+        # named, not the platform default: Python 3.14 made forkserver Linux's default
+        with ProcessPoolExecutor(max_workers=min(config.threads, len(tasks)),
+                                 mp_context=multiprocessing.get_context("fork")) as pool:
             outcomes = list(pool.map(_one_replicate, tasks))
     else:
         outcomes = [_one_replicate(t) for t in tasks]

@@ -5,11 +5,14 @@ Spies on the four band calls that ``BandedCholesky`` makes (``cholesky_banded``,
 ``lgcpthin.cholesky``) record the thread count of every loaded OpenBLAS at
 each call.  The direct-use test proves that each call runs on one thread
 whoever calls it, and the entry-point tests that no factorization reached
-from the package's numerical entry points runs threaded.  Those tests are
-skipped when no OpenBLAS is loaded; the discovery test checks, without the
-package's lookup, that none was missed.
+from the package's numerical entry points runs threaded, in this process or
+in the study's forked workers.  Those tests are skipped when no OpenBLAS is
+loaded; the discovery test checks, without the package's lookup, that none
+was missed.
 """
 
+import json
+import multiprocessing
 import os
 import sys
 import threading
@@ -18,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from lgcpthin import assess, cholesky
+from lgcpthin import assess, cholesky, simstudy
 from lgcpthin.cholesky import _loaded_openblas, _one_blas_thread
 from lgcpthin.geo import Grid, RasterGrid, RoadNetwork
 from lgcpthin.grf import (MaternParams, PcPriorSpec, _LatticeOperators, build_precision,
@@ -78,6 +81,23 @@ def band_counts(monkeypatch):
 def factor_counts(band_counts):
     """Thread counts seen by each banded factorization."""
     return band_counts["cholesky_banded"]
+
+
+@pytest.fixture
+def factor_log(monkeypatch, tmp_path):
+    """(process id, thread counts) of each banded factorization, in this
+    process and in any it forks: the children inherit the spy, which appends
+    a line per call to one file."""
+    log = tmp_path / "factorizations"
+    original = cholesky.cholesky_banded
+
+    def spy(*args, **kwargs):
+        with open(log, "a") as fh:
+            fh.write(json.dumps([os.getpid(), thread_counts()]) + "\n")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cholesky, "cholesky_banded", spy)
+    return lambda: [json.loads(line) for line in log.read_text().splitlines()]
 
 
 @pytest.fixture(scope="module")
@@ -181,6 +201,38 @@ class TestPin:
         assert wrong == []
         assert thread_counts() == caller_counts
 
+    def test_fork_while_another_thread_holds_the_pin(self, caller_counts):
+        # the second thread is inside the pin, and holds its lock, when this
+        # thread forks; the child must still be able to enter the pin
+        holding, release = threading.Event(), threading.Event()
+
+        def holder():
+            with _one_blas_thread:
+                with _one_blas_thread._lock:
+                    holding.set()
+                    release.wait(10)
+
+        def enter_pin():  # run in the child; a failed assert sets its exit code
+            with _one_blas_thread:
+                assert thread_counts() == [1] * len(LIBS)
+
+        t = threading.Thread(target=holder)
+        t.start()
+        try:
+            assert holding.wait(10)
+            child = multiprocessing.get_context("fork").Process(target=enter_pin)
+            child.start()
+        finally:
+            release.set()
+            t.join(10)
+        assert not t.is_alive()
+        child.join(20)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+        assert thread_counts() == caller_counts
+
 
 @needs_openblas
 def test_direct_band_calls_run_on_one_thread(caller_counts, band_counts):
@@ -247,6 +299,10 @@ class TestEntryPointsFactorOnOneThread:
         self._check(factor_counts, caller_counts)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_run_scenarios(self, threads, caller_counts, factor_counts):
+    def test_run_scenarios(self, threads, caller_counts, factor_log):
+        # with 2 workers the fits run in forked processes, read through the log
         run_scenarios(ScenarioConfig(seed=5, threads=threads, **FAST))
-        self._check(factor_counts, caller_counts)
+        calls = factor_log()
+        in_workers = [counts for pid, counts in calls if pid != os.getpid()]
+        assert bool(in_workers) == (threads > 1 and simstudy._FORK_WORKERS)
+        self._check([counts for _, counts in calls], caller_counts)

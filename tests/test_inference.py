@@ -289,6 +289,10 @@ class TestHyperGrid:
         # fixed grid centered at the search result
         assert np.isclose(np.median(grid.nodes), grid.mode)
 
+    def test_empty_start_rejected(self):
+        with pytest.raises(ValueError, match="start"):
+            hyper_grid(lambda v: 0.0, np.zeros(0))
+
     def test_dimensionality_by_model(self, small_fit, unit_roads):
         result, pattern, covs = small_fit
         assert {tuple(sorted(n)) for n in [result.spec.hyper_names()]} == {("log_rho", "log_sigma")}

@@ -1,10 +1,14 @@
 """Simulation-study plumbing tests (statistical patterns live in acceptance)."""
 
+import multiprocessing
+import os
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from lgcpthin import simstudy
+from lgcpthin.errors import FitError
 from lgcpthin.simstudy import (
     TARGET_HEAVY_REMOVAL,
     ScenarioConfig,
@@ -149,6 +153,50 @@ class TestRunScenarios:
         meta = res.metadata()
         assert meta["n_failed"] == 0
         assert len(meta["scenario_zetas"]) == 2
+
+
+@pytest.mark.skipif(not simstudy._FORK_WORKERS, reason="replicates run serially here")
+class TestWorkers:
+    """threads=2 forks the workers after the monkeypatches, so they inherit them."""
+
+    @pytest.fixture
+    def simulating_pids(self, monkeypatch, tmp_path):
+        """Process ids that simulated a pattern, from this process and its forks."""
+        log = tmp_path / "pids"
+        simulate = simstudy.simulate_lgcp
+
+        def spy(*args, **kwargs):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(simstudy, "simulate_lgcp", spy)
+        return lambda: {int(pid) for pid in log.read_text().split()}
+
+    def test_replicates_run_in_workers_that_end_with_the_call(self, simulating_pids):
+        run_scenarios(ScenarioConfig(seed=5, threads=2, self_test=True, **FAST))
+        assert simulating_pids() and os.getpid() not in simulating_pids()
+        assert multiprocessing.active_children() == []
+
+    def test_fit_errors_in_every_worker_abort_the_study(self, monkeypatch, simulating_pids):
+        def failing_fit(*args, **kwargs):
+            raise FitError("no mode")
+
+        monkeypatch.setattr(simstudy, "fit", failing_fit)
+        with pytest.raises(FitError, match="fits failed; aborting the study"):
+            run_scenarios(ScenarioConfig(seed=5, threads=2, **FAST))
+        assert os.getpid() not in simulating_pids()
+        assert multiprocessing.active_children() == []
+
+    def test_other_worker_errors_reach_the_caller(self, monkeypatch):
+        def broken_fit(*args, **kwargs):
+            raise RuntimeError(f"broken in {os.getpid()}")
+
+        monkeypatch.setattr(simstudy, "fit", broken_fit)
+        with pytest.raises(RuntimeError, match="broken in") as info:
+            run_scenarios(ScenarioConfig(seed=5, threads=2, **FAST))
+        assert str(info.value) != f"broken in {os.getpid()}"
+        assert multiprocessing.active_children() == []
 
 
 class TestConfigValidation:
