@@ -12,11 +12,16 @@ A band passed to ``BandedCholesky`` (directly or as a ``BorderedPrecision``
 field block) belongs to the factor from then on: a Fortran-ordered
 (column-major) band is factored in place, with no copy, and so holds the
 factor afterwards.  A C-ordered band is copied to column-major storage by the
-LAPACK wrapper and left as it was.  Callers that keep a band pass a copy.
+LAPACK wrapper and left as it was.  Callers that keep a band pass a copy:
+the fit's Hessian copies the prior's cached band, while
+``GmrfPrecision.chol()`` assembles a fresh band that the factor owns, so a
+field draw holds two bands, the factor and its transpose ``L^T``.
 
-The band calls here run slower on OpenBLAS's threads than on one (a VSE
-fit on the default study geometry: 3.0 s on two threads, 2.3 s on one, on a
-2-vCPU machine), so ``BandedCholesky`` makes each of them, for any caller,
+``BandedCholesky`` makes four band calls: ``cholesky_banded`` (``pbtrf``) to
+factor, ``cho_solve_banded`` to solve, ``dtbtrs`` to solve ``L^T x = z`` for
+sampling, and ``dtbmv`` twice for products.  They run slower on OpenBLAS's
+threads than on one (a VSE fit on the default study geometry: 3.0 s on two
+threads, 2.3 s on one, on a 2-vCPU machine), so each runs, for any caller,
 under ``_one_blas_thread``, which pins the OpenBLAS libraries that numpy and
 scipy call LAPACK through to one thread and gives the caller's count back
 on the way out.
@@ -30,8 +35,9 @@ import threading
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from scipy.linalg import _flapack, cho_factor, cho_solve, cho_solve_banded, cholesky_banded, solve_banded
+from scipy.linalg import _flapack, cho_factor, cho_solve, cho_solve_banded, cholesky_banded
 from scipy.linalg.blas import dtbmv
+from scipy.linalg.lapack import dtbtrs
 
 from lgcpthin.errors import NotSpdError
 
@@ -165,9 +171,16 @@ class BandedCholesky:
                          overwrite_x=1)
 
     def solve_lt(self, z: np.ndarray) -> np.ndarray:
-        """Solve L^T x = z; for z ~ N(0, I) the result has covariance A^{-1}."""
+        """Solve L^T x = z; for z ~ N(0, I) the result has covariance A^{-1}.
+
+        ``z`` is a vector or has one column per right-hand side; the result
+        has its shape.
+        """
         with _one_blas_thread:
-            return solve_banded((0, self.bandwidth), self._lt, z, check_finite=False)
+            x, info = dtbtrs(self._lt, z.reshape(self.n, -1), uplo="U", trans="N")
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dtbtrs failed: info = {info}")
+        return x.reshape(z.shape)
 
     def sample(self, rng: np.random.Generator, size: int = 1) -> np.ndarray:
         """Draw ``size`` samples with covariance A^{-1}; shape (n, size)."""

@@ -156,7 +156,8 @@ class GmrfPrecision:
     @property
     def banded(self) -> np.ndarray:
         """Q in LAPACK lower-banded storage (bandwidth 2 nx); cached and shared,
-        so it is copied before any factorization."""
+        so a caller that factors it factors a copy (:meth:`chol` assembles its
+        own)."""
         if self._banded is None:
             self._banded = self._ops.assemble_banded(self.params)
         return self._banded
@@ -185,9 +186,10 @@ class GmrfPrecision:
                          + 2.0 * np.sum(np.log(self.shift + self._ops.laplacian_eigenvalues)))
 
     def chol(self) -> BandedCholesky:
-        """Banded Cholesky factor of Q, for sampling."""
+        """Banded Cholesky factor of Q, for sampling, made from a fresh band
+        that it owns, so the cached :attr:`banded` is not kept beside it."""
         if self._chol is None:
-            self._chol = BandedCholesky(np.array(self.banded, order="F"))
+            self._chol = BandedCholesky(self._ops.assemble_banded(self.params))
         return self._chol
 
 

@@ -1,7 +1,7 @@
 """The one-BLAS-thread pin: one thread inside, the caller's count after.
 
 Spies on the four band calls that ``BandedCholesky`` makes (``cholesky_banded``,
-``cho_solve_banded``, ``solve_banded`` and ``dtbmv``, as attributes of
+``cho_solve_banded``, ``dtbtrs`` and ``dtbmv``, as attributes of
 ``lgcpthin.cholesky``) record the thread count of every loaded OpenBLAS at
 each call.  The direct-use test proves that each call runs on one thread
 whoever calls it, and the entry-point tests that no factorization reached
@@ -20,6 +20,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from lgcpthin import assess, cholesky, simstudy
 from lgcpthin.cholesky import _loaded_openblas, _one_blas_thread
@@ -55,7 +56,7 @@ def caller_counts():
         set_n(count)
 
 
-BAND_CALLS = ("cholesky_banded", "cho_solve_banded", "solve_banded", "dtbmv")
+BAND_CALLS = ("cholesky_banded", "cho_solve_banded", "dtbtrs", "dtbmv")
 
 
 @pytest.fixture
@@ -244,9 +245,22 @@ def test_direct_band_calls_run_on_one_thread(caller_counts, band_counts):
     chol.sample(np.random.default_rng(0), size=3)
     chol.matvec(b)
     assert {name: len(c) for name, c in band_counts.items()} == {
-        "cholesky_banded": 1, "cho_solve_banded": 1, "solve_banded": 1, "dtbmv": 2}
+        "cholesky_banded": 1, "cho_solve_banded": 1, "dtbtrs": 1, "dtbmv": 2}
     assert all(c == [1] * len(LIBS) for calls in band_counts.values() for c in calls)
     assert thread_counts() == caller_counts
+
+
+@pytest.mark.parametrize("columns", [None, 7], ids=["vector", "matrix"])
+def test_solve_lt_is_solve_banded_bit_for_bit(columns):
+    # dtbtrs back-substitutes as the general banded solve did on the
+    # triangular L^T, so every draw is unchanged, to the last bit
+    prec = _LatticeOperators(Grid(0.0, 0.0, 1.0, 30, 30)).assemble(MaternParams(1.0, 4.0))
+    chol = prec.chol()
+    shape = (chol.n,) if columns is None else (chol.n, columns)
+    z = np.random.default_rng(4).standard_normal(shape)
+    x = chol.solve_lt(z)
+    assert x.shape == z.shape
+    assert np.array_equal(x, solve_banded((0, chol.bandwidth), chol._lt, z))
 
 
 @needs_openblas

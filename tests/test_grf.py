@@ -258,6 +258,21 @@ class TestSampleField:
         f3 = sample_field(prec, seed=43)
         assert not np.array_equal(f1, f3)
 
+    def test_draw_holds_two_bands(self):
+        # the factor and its transpose L^T; not the prior's cached band, nor a
+        # general banded solver's workspace
+        grid = Grid(0.0, 0.0, 1.0, 60, 60)
+        prec = _LatticeOperators(grid).assemble(MaternParams(1.0, 10.0))
+        band = (2 * grid.nx + 1) * grid.n_cells * 8
+        tracemalloc.start()
+        try:
+            fields = sample_field(prec, 3, size=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fields.shape == (4, 60, 60)
+        assert peak <= 2.5 * band
+
     @pytest.mark.parametrize("factor", [-0.5, math.nan, -math.inf, math.inf])
     def test_bad_extension_factor_rejected(self, factor):
         # -0.5 would otherwise crop a 2 x 2 field out of the 20 x 20 grid
