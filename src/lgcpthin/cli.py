@@ -204,7 +204,7 @@ def _write_csv(path, header: list[str], rows) -> None:
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(str(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +249,7 @@ def cmd_explore(args) -> int:
     support = np.unique(np.concatenate([point_dists, grid_dists]))
     f_pts, f_grid = geo.ecdf(point_dists), geo.ecdf(grid_dists)
     _write_csv(run.path("ecdf.csv"), ["distance", "ecdf_points", "ecdf_reference"],
-               zip(support, f_pts(support), f_grid(support)))
+               zip(support.tolist(), f_pts(support).tolist(), f_grid(support).tolist()))
     return run.finish()
 
 

@@ -5,15 +5,17 @@ throughout the package is kilometers.  Also provides the exploratory
 statistics used to diagnose accessibility bias: ECDFs, the two-sample
 Kolmogorov-Smirnov test, and Pearson correlation.
 
-Road distances are exact.  Each :class:`RoadNetwork` indexes itself once:
-every segment is cut into pieces no longer than the larger of the median and
-the mean segment length, so there are at most twice as many pieces as
-segments, and a KD-tree holds the piece midpoints.  A point's distance to its
-nearest midpoint bounds its road distance from above, so every segment that
-can be nearest has a piece within that bound plus half a piece length; only
-those candidate segments are measured, with the same per-pair arithmetic as
-a loop over all segments.  Cutting keeps the search narrow when segment
-lengths are skewed (a few long segments among many short ones), where the
+Road distances are exact.  Each :class:`RoadNetwork` indexes itself on the
+first distance query, so a network that is only read, written or drawn never
+builds an index: every segment is cut into pieces no longer than the gap
+between roads (the bounding-box area over the total road length), at most
+17 pieces per segment on average, and a KD-tree holds the piece midpoints.
+A point's distance to its nearest midpoint bounds its road distance from
+above, so every segment that can be nearest has a piece within that bound
+plus half a piece length; only those candidate segments are measured, with
+the same per-pair arithmetic as a loop over all segments.  Cutting keeps the
+search narrow when segments are long next to the spacing of the roads, or
+skewed in length (a few long segments among many short ones), where the
 longest segment would otherwise set the search radius for every point.
 Memory is bounded by chunk size times candidates, not by the number of
 segments.
@@ -24,12 +26,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import kolmogorov
 
+from lgcpthin.cholesky import _one_blas_thread
 from lgcpthin.errors import LgcpThinError, ParseError
 
 _CONGRUENT_TOL = 1e-9  # coordinate slack when comparing grids
@@ -126,6 +130,9 @@ class RasterGrid:
 # Road networks and point patterns
 # ---------------------------------------------------------------------------
 
+_CUTS = 16  # most pieces per segment of mean length in the road index
+
+
 @dataclass(frozen=True)
 class _PieceIndex:
     """KD-tree over segment pieces: see :func:`distances_to_roads`."""
@@ -140,8 +147,16 @@ class _PieceIndex:
         d = segs[:, 2:4] - a
         length = np.hypot(d[:, 0], d[:, 1])
         positive = length[length > 0]
-        # At least the mean length: sum(ceil(length / ell)) <= 2 * len(segs).
-        ell = max(float(np.median(positive)), float(positive.mean())) if positive.size else 0.0
+        ell = 0.0
+        if positive.size:
+            # Pieces no longer than the larger of the median and mean length,
+            # nor than the gap between roads (bounding-box area over total
+            # length), but at least mean / _CUTS long: sum(ceil(length / ell))
+            # <= 17 * len(segs), even for collinear roads, whose gap is zero.
+            mean = float(positive.mean())
+            width, height = np.ptp(segs.reshape(-1, 2), axis=0)
+            gap = float(width * height) / float(positive.sum())
+            ell = max(min(max(float(np.median(positive)), mean), gap), mean / _CUTS)
         n_pieces = (np.maximum(np.ceil(length / ell), 1).astype(np.intp) if ell > 0
                     else np.ones(len(segs), dtype=np.intp))
         parent = np.repeat(np.arange(len(segs)), n_pieces)
@@ -162,7 +177,6 @@ class RoadNetwork:
 
     polylines: tuple[np.ndarray, ...]
     _segments: np.ndarray = field(init=False, repr=False)
-    _index: _PieceIndex = field(init=False, repr=False)
 
     def __post_init__(self):
         if not self.polylines:
@@ -178,7 +192,10 @@ class RoadNetwork:
         object.__setattr__(self, "polylines", tuple(lines))
         segs = np.vstack([np.hstack([arr[:-1], arr[1:]]) for arr in lines])
         object.__setattr__(self, "_segments", segs)
-        object.__setattr__(self, "_index", _PieceIndex.build(segs))
+
+    @cached_property
+    def _index(self) -> _PieceIndex:
+        return _PieceIndex.build(self._segments)
 
     @property
     def n_segments(self) -> int:
@@ -226,13 +243,15 @@ _CHUNK = 2048  # points per candidate search in distances_to_roads
 def distances_to_roads(points: np.ndarray, roads: RoadNetwork) -> np.ndarray:
     """Exact minimum point-to-segment distance for each of (n, 2) points.
 
-    The road network's index cuts segments into pieces no longer than the
-    larger of the median and the mean segment length and holds the piece
-    midpoints in a KD-tree.  For a point p let d0 be its distance to the
-    nearest midpoint.  Midpoints lie on roads, so the road distance d is at
-    most d0; the piece holding the nearest foot point has its midpoint within
-    d + (longest piece)/2 of p.  Every segment with a piece in that ball is a
-    candidate.  The ball is widened by 1e-12 of its radius plus 1e-12 of the
+    The road network's index, built on the first call and kept, cuts
+    segments into pieces no longer than the gap between roads (the
+    bounding-box area over the total road length) nor than the larger of the
+    median and the mean segment length, with at most 17 pieces per segment on
+    average, and holds the piece midpoints in a KD-tree.  For a point p let
+    d0 be its distance to the nearest midpoint.  Midpoints lie on roads, so
+    the road distance d is at most d0; the piece holding the nearest foot
+    point has its midpoint within d + (longest piece)/2 of p.  Every segment
+    with a piece in that ball is a candidate.  The ball is widened by 1e-12 of its radius plus 1e-12 of the
     largest coordinate magnitude, which exceeds the rounding in midpoints,
     foot points and distances, so segments tying within rounding stay in.
     Each candidate is measured exactly: ``t = clip(((p - a) . d) / |d|^2, 0,
@@ -325,11 +344,14 @@ def pearson_corr(a, b) -> float:
         raise ValueError("inputs must have equal length >= 2")
     xc = x - x.mean()
     yc = y - y.mean()
-    sx = math.sqrt(float(xc @ xc))
-    sy = math.sqrt(float(yc @ yc))
+    # One BLAS thread: a threaded dot product's sum depends on the thread count.
+    with _one_blas_thread:
+        sx = math.sqrt(float(xc @ xc))
+        sy = math.sqrt(float(yc @ yc))
+        sxy = float(xc @ yc)
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation undefined for zero-variance input")
-    return float(np.clip((xc @ yc) / (sx * sy), -1.0, 1.0))
+    return float(np.clip(sxy / (sx * sy), -1.0, 1.0))
 
 
 # ---------------------------------------------------------------------------

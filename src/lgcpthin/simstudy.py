@@ -35,6 +35,7 @@ from lgcpthin.pointprocess import ThinningConfig, make_log_intensity, simulate_l
 COVARIATE_DISTANCE_CORR = -0.4  # built correlation of the covariate with road distance
 TARGET_HEAVY_REMOVAL = 0.49     # fraction of points the heaviest thinning level removes
 THETA_PRIOR_PRESETS = ("default", "informative")  # theta priors a study can fit with
+STUDY_MODELS = ("naive", "vse")                   # models a study can fit
 
 # Workers are forked, so they start from the parent's imports and set-up.
 # Windows has no fork and macOS's system libraries are not fork-safe, so
@@ -62,7 +63,7 @@ class ScenarioConfig:
     grid_n: int = 20
     road_spacing: float = 50.0
     pc_prior: PcPriorSpec = PcPriorSpec()
-    models: tuple[str, ...] = ("naive", "vse")
+    models: tuple[str, ...] = STUDY_MODELS      # a non-empty selection from STUDY_MODELS
     self_test: bool = False
     score_fits: bool = True
     threads: int = 1                           # worker processes for the replicates
@@ -79,6 +80,8 @@ class ScenarioConfig:
         if self.theta_prior_preset not in THETA_PRIOR_PRESETS:
             raise ValueError(f"theta_prior_preset must be one of {THETA_PRIOR_PRESETS}, "
                              f"got {self.theta_prior_preset!r}")
+        if not self.models or not set(self.models) <= set(STUDY_MODELS):
+            raise ValueError(f"models must be one or more of {STUDY_MODELS}, got {self.models!r}")
         if not 0.0 < self.nominal_level < 1.0:
             raise ValueError(f"nominal_level must be in (0, 1), got {self.nominal_level}")
         if self.posterior_draws_per_fit < 1:

@@ -171,6 +171,18 @@ class TestExplore:
         assert lines[0] == "distance,ecdf_points,ecdf_reference"
         assert len(lines) > 10
 
+    def test_csv_bytes_equal_numpy_scalar_formatting(self, tmp_path):
+        # explore passes its columns as lists of floats; they must print as
+        # the numpy scalars that it once passed row by row
+        rng = np.random.default_rng(3)
+        edge = [1e-05, 1e+16, -0.0, 5e-324, float("inf"), 0.1, 1 / 3, 2.0 ** -1074 * 3]
+        cols = [np.concatenate([edge, rng.normal(size=500) * 10.0 ** rng.integers(-20, 20, 500)]),
+                rng.uniform(size=508), np.arange(508) / 508]
+        path = tmp_path / "cols.csv"
+        cli._write_csv(path, ["a", "b", "c"], zip(*(c.tolist() for c in cols)))
+        old = "a,b,c\n" + "".join(",".join(str(v) for v in row) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == old.encode()
+
 
 class TestExploreOnRoadPoints:
     def test_points_on_roads_saturate_thresholds(self, world, tmp_path):

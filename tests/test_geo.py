@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from lgcpthin import geo, simstudy
+from lgcpthin.cholesky import _one_blas_thread
 from lgcpthin.errors import ParseError
 from lgcpthin.geo import (
     Ecdf,
@@ -220,16 +222,59 @@ class TestRoadDistanceIndex:
     def test_index_size_bounded_by_segments(self, tiny):
         # Near-zero segments must not shrink the piece length: cut at the
         # median alone, the long segment would become 100 / tiny pieces.
+        # The index is built on the first query, so the query is traced too.
+        pts = np.array([[50.0, 0.0], [0.0, 0.0], [-1.0, 5.0], [100.0, 1.5]])
         tracemalloc.start()
         try:
             roads = RoadNetwork((np.array([[0.0, 0.0], [tiny, 0.0], [tiny, tiny]]),
                                  np.array([[0.0, 1.0], [100.0, 1.0]])))
+            got = distances_to_roads(pts, roads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
-        pts = np.array([[50.0, 0.0], [0.0, 0.0], [-1.0, 5.0], [100.0, 1.5]])
-        np.testing.assert_array_equal(distances_to_roads(pts, roads), loop_oracle(pts, roads))
+        np.testing.assert_array_equal(got, loop_oracle(pts, roads))
+
+    def test_collinear_roads_pieces_bounded(self):
+        # All roads on one line: the bounding box has zero area, so the gap
+        # between roads is zero and only the mean / 16 floor limits the cut.
+        step = np.random.default_rng(11).lognormal(0.0, 1.5, size=200)
+        x = np.concatenate([[0.0], np.cumsum(step)])
+        roads = RoadNetwork((np.column_stack([x, np.zeros_like(x)]),
+                             np.column_stack([x[:50], np.zeros(50)])))
+        pts = np.random.default_rng(12).uniform([-5.0, -5.0], [x[-1] + 5.0, 5.0],
+                                                size=(500, 2))
+        got = distances_to_roads(pts, roads)
+        assert roads._index.parent.size <= 17 * roads.n_segments
+        np.testing.assert_array_equal(got, loop_oracle(pts, roads))
+
+    def test_candidates_per_point_bounded(self, monkeypatch):
+        # Segments of 75 on roads 5 apart: cut only at the mean length, each
+        # point searched about 42 segments; cut at the gap, about 4.
+        calls = []
+
+        class SpyTree(cKDTree):
+            def query_ball_point(self, x, r, *args, **kwargs):
+                balls = super().query_ball_point(x, r, *args, **kwargs)
+                calls.append((len(balls), sum(map(len, balls))))
+                return balls
+
+        monkeypatch.setattr(geo, "cKDTree", SpyTree)
+        roads = simstudy.synthetic_roads(600.0, 5.0, 7)
+        pts = np.random.default_rng(5).uniform(0.0, 600.0, size=(10000, 2))
+        got = distances_to_roads(pts, roads)
+        n_points, n_candidates = map(sum, zip(*calls))
+        assert n_points == 10000
+        assert n_candidates <= 8 * n_points
+        np.testing.assert_array_equal(got, loop_oracle(pts, roads))
+
+    def test_index_built_on_first_query_and_kept(self, simple_roads):
+        assert "_index" not in vars(simple_roads)
+        pts = np.array([[0.5, 0.5], [3.0, -1.0]])
+        first = distances_to_roads(pts, simple_roads)
+        index = vars(simple_roads)["_index"]
+        np.testing.assert_array_equal(distances_to_roads(pts, simple_roads), first)
+        assert vars(simple_roads)["_index"] is index
 
     @pytest.mark.parametrize("shape", [(2,), (3, 3), (4, 1), (2, 2, 2)])
     def test_rejects_points_not_n_by_2(self, simple_roads, shape):
@@ -355,6 +400,19 @@ class TestPearsonCorr:
         oracle = np.sum((a - am) * (b - bm)) / np.sqrt(
             np.sum((a - am) ** 2) * np.sum((b - bm) ** 2))
         assert pearson_corr(a, b) == pytest.approx(oracle, abs=1e-12)
+
+    def test_same_bits_whether_or_not_the_caller_pins_blas(self):
+        # Above 10,000 values OpenBLAS may thread its dot product, and the
+        # threaded sum depends on the thread count.  On 2 threads about half
+        # of these inputs round differently, so eight seeds catch a lost pin.
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            a = rng.normal(size=20000)
+            b = 0.3 * a + rng.normal(size=20000)
+            free = pearson_corr(a, b)
+            with _one_blas_thread:
+                pinned = pearson_corr(a, b)
+            assert free.hex() == pinned.hex()
 
     def test_degenerate_variance_rejected(self):
         with pytest.raises(ValueError):

@@ -224,6 +224,12 @@ class TestConfigValidation:
             with pytest.raises(ValueError, match="threads"):
                 ScenarioConfig(threads=threads)
 
+    @pytest.mark.parametrize("models", [(), ("VSE",), ("naive", "glm")])
+    def test_rejects_unknown_models(self, models):
+        # any name but "vse" would fit the naive model under that name
+        with pytest.raises(ValueError, match=r"models must be one or more of \('naive', 'vse'\)"):
+            ScenarioConfig(models=models)
+
     def test_truth_is_a_constant(self):
         assert ScenarioConfig().true_beta1 == 0.82
         with pytest.raises(TypeError):
