@@ -120,7 +120,7 @@ def pointwise_table(fit_result, n_samples: int = 200, seed=0) -> PointwiseLikeli
     eta_n, eta_p = ctx.eta_many(u)
     if ctx.spec.use_vse:
         for k in np.unique(node_idx):
-            off_n, off_p = ctx.offsets(fit_result.nodes[int(k)].zeta)
+            off_n, off_p = ctx.offsets(ctx.zeta_of(fit_result.nodes[int(k)].hyper))
             cols = node_idx == k
             eta_n[:, cols] += off_n[:, None]
             eta_p[:, cols] += off_p[:, None]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -23,7 +22,7 @@ from lgcpthin.geo import Grid, RasterGrid
 from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
 from lgcpthin.inference import FitResult, ModelSpec, NormalPrior, fit, predict_intensity
 from lgcpthin.pointprocess import ThinningConfig, make_log_intensity, simulate_lgcp, thin
-from lgcpthin.simstudy import THETA_PRIOR_PRESETS, ScenarioConfig, coverage_table, run_scenarios
+from lgcpthin.simstudy import THETA_PRIOR_PRESETS, ScenarioConfig, run_scenarios
 
 
 # ---------------------------------------------------------------------------
@@ -177,25 +176,28 @@ def _load_covariates(pairs: list[str]) -> dict[str, RasterGrid]:
     return out
 
 
-def _flagged(flag: str, make, *args, **kwargs):
-    """``make(*args, **kwargs)``, with ``flag`` leading the message of its ValueError."""
+def _flagged(flags: dict[str, str], make, *args, **kwargs):
+    """``make(*args, **kwargs)``; a ValueError whose message starts with a key
+    of ``flags`` is raised again with that key's flag in front."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
+        flag = next((f for key, f in flags.items() if str(exc).startswith(key)), None)
+        if flag is None:
+            raise
         raise ValueError(f"{flag}: {exc}") from exc
 
 
 def _model_spec(args, covariate_names) -> ModelSpec:
-    # NormalPrior checks the mean first, so a finite mean leaves the precision at fault
-    theta_flag = "--theta-precision" if math.isfinite(args.theta_mean) else "--theta-mean"
     return _flagged(
-        "--zeta-fixed", ModelSpec,
+        {"prior precision": "--beta-precision", "zeta_fixed": "--zeta-fixed"}, ModelSpec,
         covariate_names=tuple(covariate_names),
         use_vse=args.model == "vse",
         pc_prior=PcPriorSpec(args.pc_rho0, args.pc_alpha_rho,
                              args.pc_sigma0, args.pc_alpha_sigma),
-        beta_prior=_flagged("--beta-precision", NormalPrior, ModelSpec.beta_prior.mean, args.beta_precision),
-        theta_prior=_flagged(theta_flag, NormalPrior, args.theta_mean, args.theta_precision),
+        beta_precision=args.beta_precision,
+        theta_prior=_flagged({"prior mean": "--theta-mean", "prior precision": "--theta-precision"},
+                             NormalPrior, args.theta_mean, args.theta_precision),
         zeta_fixed=args.zeta_fixed,
     )
 
@@ -326,7 +328,8 @@ def cmd_predict(args) -> int:
 
 def cmd_simstudy(args) -> int:
     run = _Run("simstudy", args)
-    config = ScenarioConfig(
+    config = _flagged(
+        {"informative_mean": "--informative-mean"}, ScenarioConfig,
         zeta_levels=tuple(args.zeta_levels),
         replicates=args.replicates,
         posterior_draws_per_fit=args.posterior_draws,
@@ -343,10 +346,9 @@ def cmd_simstudy(args) -> int:
     result = run_scenarios(config)
     result.to_csv(run.path("results.csv"))
     result.scores_to_csv(run.path("scores.csv"))
-    _write_csv(run.path("coverage.csv"),
-               ["scenario_index", "zeta", "model", "parameter", "coverage", "mean_ci_width"],
-               [[c["scenario_index"], c["zeta"], c["model"], c["parameter"],
-                 c["coverage"], c["mean_ci_width"]] for c in coverage_table(result)])
+    columns = ["scenario_index", "zeta", "model", "parameter", "coverage", "mean_ci_width"]
+    _write_csv(run.path("coverage.csv"), columns,
+               [[a[c] for c in columns] for a in result.aggregate()])
     with open(run.path("summary.md"), "w") as fh:
         fh.write(result.to_markdown() + "\n")
     return run.finish(result.metadata())
@@ -426,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pc-alpha-rho", type=float, default=PcPriorSpec.alpha_rho)
     p.add_argument("--pc-sigma0", type=float, default=PcPriorSpec.sigma0)
     p.add_argument("--pc-alpha-sigma", type=float, default=PcPriorSpec.alpha_sigma)
-    p.add_argument("--beta-precision", type=float, default=ModelSpec.beta_prior.precision)
+    p.add_argument("--beta-precision", type=float, default=ModelSpec.beta_precision)
     p.add_argument("--theta-mean", type=float, default=ModelSpec.theta_prior.mean)
     p.add_argument("--theta-precision", type=float, default=ModelSpec.theta_prior.precision)
     p.add_argument("--zeta-fixed", type=float, default=ModelSpec.zeta_fixed)

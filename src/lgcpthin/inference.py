@@ -40,6 +40,11 @@ __all__ = [
 ]
 
 
+def _check_precision(precision: float) -> None:
+    if not (math.isfinite(precision) and precision > 0):
+        raise ValueError(f"prior precision must be positive and finite, got {precision}")
+
+
 @dataclass(frozen=True)
 class NormalPrior:
     mean: float
@@ -48,8 +53,7 @@ class NormalPrior:
     def __post_init__(self):
         if not math.isfinite(self.mean):
             raise ValueError(f"prior mean must be finite, got {self.mean}")
-        if not (math.isfinite(self.precision) and self.precision > 0):
-            raise ValueError(f"prior precision must be positive and finite, got {self.precision}")
+        _check_precision(self.precision)
 
     def logpdf(self, x: float) -> float:
         return 0.5 * math.log(self.precision / (2 * math.pi)) \
@@ -60,21 +64,27 @@ class NormalPrior:
 class ModelSpec:
     """Everything that determines a fit, given data.
 
-    ``zeta_fixed`` pins the thinning rate instead of estimating it; the value
-    0 encodes q = 1 everywhere, which reduces the VSE model to the naive one.
+    Each coefficient has a Normal(0, 1 / ``beta_precision``) prior.
+    ``zeta_fixed`` pins the VSE model's thinning rate instead of estimating
+    it; the value 0 encodes q = 1 everywhere, which reduces the VSE model to
+    the naive one.
     """
 
     covariate_names: tuple[str, ...]
     use_vse: bool = False
     pc_prior: PcPriorSpec = PcPriorSpec()
-    beta_prior: NormalPrior = NormalPrior(0.0, 0.01)
+    beta_precision: float = 0.01
     theta_prior: NormalPrior = NormalPrior(1.0, 0.05)
     zeta_fixed: float | None = None
     grid_points_per_dim: ClassVar[int] = 5  # hyper grid nodes per dimension
 
     def __post_init__(self):
+        _check_precision(self.beta_precision)
         if self.zeta_fixed is not None and not (math.isfinite(self.zeta_fixed) and self.zeta_fixed >= 0):
             raise ValueError(f"zeta_fixed must be nonnegative and finite, got {self.zeta_fixed}")
+        if self.zeta_fixed is not None and not self.use_vse:
+            raise ValueError(f"zeta_fixed is read only by the VSE model, got {self.zeta_fixed} "
+                             "with use_vse=False")
 
     def hyper_names(self) -> tuple[str, ...]:
         if self.use_vse and self.zeta_fixed is None:
@@ -87,14 +97,12 @@ class HyperNode:
     """One Laplace evaluation: a hyper vector and the Gaussian latent
     approximation at it.
 
-    ``hyper`` is ordered as ``spec.hyper_names()``; ``zeta`` is the thinning
-    rate in force there: 0 for the naive model, ``zeta_fixed``, or
-    exp(theta).  ``weight`` is the node's normalized mixture weight in a fit
-    (0 before normalization).
+    ``hyper`` is ordered as ``spec.hyper_names()``; the thinning rate in
+    force there is ``_ModelContext.zeta_of(hyper)``.  ``weight`` is the
+    node's normalized mixture weight in a fit (0 before normalization).
     """
 
     hyper: np.ndarray
-    zeta: float
     laplace_log_marginal: float
     weight: float
     mode: np.ndarray = field(repr=False)
@@ -251,7 +259,7 @@ class _ModelContext:
     def prior_quad_and_grad(self, u, prior: GmrfPrecision):
         """-1/2 u' Q u (field + coefficient blocks) and its gradient."""
         omega, beta = u[: self.n_field], u[self.n_field:]
-        prec_b = self.spec.beta_prior.precision
+        prec_b = self.spec.beta_precision
         q_omega = prior.matvec(omega)
         val = -0.5 * prec_b * float(beta @ beta) - 0.5 * float(omega @ q_omega)
         return val, np.concatenate([-q_omega, -prec_b * beta])
@@ -270,7 +278,7 @@ class _ModelContext:
     def hessian(self, curvature: np.ndarray, prior: GmrfPrecision) -> BorderedPrecision:
         """Negated Hessian of the penalized objective at Poisson weights
         ``curvature = w_i exp(eta_i)``; SPD by construction."""
-        prec_b = self.spec.beta_prior.precision
+        prec_b = self.spec.beta_precision
         hbb = self.x_nodes.T @ (curvature[:, None] * self.x_nodes) + prec_b * np.eye(self.n_coef)
         hwb = np.zeros((self.n_field, self.n_coef))
         hwb[self.sel_idx] = curvature[:, None] * self.x_nodes
@@ -370,16 +378,15 @@ def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None) -> H
     logdet_q = prior.logdet()
     if not math.isfinite(logdet_q):
         return None
-    logdet_q += ctx.n_coef * math.log(spec.beta_prior.precision)
-    zeta = ctx.zeta_of(v)
-    offsets = ctx.offsets(zeta)
+    logdet_q += ctx.n_coef * math.log(spec.beta_precision)
+    offsets = ctx.offsets(ctx.zeta_of(v))
     u0 = warm if warm is not None else np.zeros(ctx.n_field + ctx.n_coef)
     try:
         mode, hess, curvature, f_val = _newton_mode(ctx, prior, offsets, u0)
     except (FitError, NotSpdError):
         return None
     lm = f_val + 0.5 * logdet_q - 0.5 * hess.logdet() + ctx.hyper_log_prior(v)
-    return HyperNode(hyper=np.array(v, dtype=float), zeta=zeta, laplace_log_marginal=lm,
+    return HyperNode(hyper=np.array(v, dtype=float), laplace_log_marginal=lm,
                      weight=0.0, mode=mode, curvature_weights=curvature,
                      beta_cov=hess.coef_cov())
 
@@ -681,7 +688,6 @@ class FitResult:
         np.savez_compressed(
             os.path.join(directory, "fit_nodes.npz"),
             hyper=np.array([n.hyper for n in self.nodes]),
-            zeta=np.array([n.zeta for n in self.nodes]),
             log_marginal=np.array([n.laplace_log_marginal for n in self.nodes]),
             weight=np.array([n.weight for n in self.nodes]),
             mode=np.array([n.mode for n in self.nodes]),
@@ -690,7 +696,8 @@ class FitResult:
 
     @classmethod
     def load(cls, directory, pattern, covariates, roads, spec: ModelSpec) -> "FitResult":
-        """Rebuild a saved fit; data and spec must match the original run."""
+        """Rebuild a saved fit; data and spec must match the original run.
+        An older file's ``zeta`` array is ignored: the thinning rate follows from ``hyper``."""
         import os
 
         ctx = _ModelContext(pattern, covariates, roads, spec)
@@ -711,8 +718,7 @@ class FitResult:
         for k in range(data["weight"].size):
             hyper, curvature = data["hyper"][k], data["curvature"][k]
             nodes.append(HyperNode(
-                hyper=hyper, zeta=float(data["zeta"][k]),
-                laplace_log_marginal=float(data["log_marginal"][k]),
+                hyper=hyper, laplace_log_marginal=float(data["log_marginal"][k]),
                 weight=float(data["weight"][k]), mode=data["mode"][k],
                 curvature_weights=curvature,
                 beta_cov=ctx.hessian(curvature, ctx.prior_at(hyper)).coef_cov()))

@@ -44,23 +44,17 @@ def make_log_intensity(covariates: dict[str, RasterGrid], beta0: float,
                        field_values: np.ndarray | None = None) -> LogIntensitySurface:
     """Assemble log lambda = beta0 + sum_k beta_k x_k + omega on the shared grid."""
     names = tuple(coefs)
-    if not names and field_values is None:
-        raise ValueError("need at least a covariate or a field")
-    first = covariates[names[0]] if names else None
-    grid = first.grid if first is not None else None
-    total = None
-    for name in names:
+    if not names:
+        raise ValueError("need at least one covariate")
+    grid = covariates[names[0]].grid
+    total = coefs[names[0]] * covariates[names[0]].values
+    for name in names[1:]:
         rast = covariates[name]
-        if grid is not None and not rast.grid.congruent(grid):
+        if not rast.grid.congruent(grid):
             raise ValueError(f"covariate {name!r} grid not congruent")
-        term = coefs[name] * rast.values
-        total = term if total is None else total + term
-    if total is None:
-        total = 0.0
+        total = total + coefs[name] * rast.values
     if field_values is not None:
         fv = np.asarray(field_values, dtype=float)
-        if grid is None:
-            raise ValueError("field-only surfaces require an explicit covariate grid")
         if fv.shape != (grid.ny, grid.nx):
             raise ValueError("field shape does not match the covariate grid")
         total = total + fv

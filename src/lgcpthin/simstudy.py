@@ -80,6 +80,9 @@ class ScenarioConfig:
         if self.theta_prior_preset not in THETA_PRIOR_PRESETS:
             raise ValueError(f"theta_prior_preset must be one of {THETA_PRIOR_PRESETS}, "
                              f"got {self.theta_prior_preset!r}")
+        if self.informative_mean is not None and self.theta_prior_preset != "informative":
+            raise ValueError(f"informative_mean is read only by the 'informative' theta_prior_preset, "
+                             f"got {self.informative_mean} with {self.theta_prior_preset!r}")
         if not self.models or not set(self.models) <= set(STUDY_MODELS):
             raise ValueError(f"models must be one or more of {STUDY_MODELS}, got {self.models!r}")
         if not 0.0 < self.nominal_level < 1.0:
@@ -285,8 +288,8 @@ def _theta_prior_for(config: ScenarioConfig, zeta_level: float) -> NormalPrior:
     if config.theta_prior_preset == "default":
         return ModelSpec.theta_prior
     mean = config.informative_mean
-    if mean is None:
-        mean = math.log(zeta_level) if zeta_level > 0 else 1.0
+    if mean is None:  # level 0 has no log; it falls back to the default prior's centre
+        mean = math.log(zeta_level) if zeta_level > 0 else ModelSpec.theta_prior.mean
     return NormalPrior(mean, config.informative_precision)
 
 
@@ -419,15 +422,3 @@ def run_scenarios(config: ScenarioConfig,
     score_rows.sort(key=lambda r: (r["scenario_index"], r["replicate"], r["model"]))
     return ScenarioResult(rows, score_rows, config, scale, zetas, removal,
                           n_failed, n_fits, draws)
-
-
-def coverage_table(result: ScenarioResult) -> list[dict]:
-    """Coverage and mean interval width per (scenario, model, parameter)."""
-    return [{
-        "scenario_index": a["scenario_index"],
-        "zeta": a["zeta"],
-        "model": a["model"],
-        "parameter": a["parameter"],
-        "coverage": a["coverage"],
-        "mean_ci_width": a["mean_ci_width"],
-    } for a in result.aggregate()]

@@ -373,6 +373,18 @@ class TestErrorHandling:
         assert code == 1
         assert f"{flag[0]}: {message}" in capsys.readouterr().err
 
+    def test_fit_rejects_zeta_fixed_for_naive_model(self, world, thinned, tmp_path, capsys):
+        code = main(fit_args(world, thinned / "thinned.csv", tmp_path / "o", "naive")
+                    + ["--zeta-fixed", "2"])
+        assert code == 1
+        assert "--zeta-fixed: zeta_fixed is read only by the VSE model" in capsys.readouterr().err
+
+    def test_simstudy_rejects_informative_mean_with_default_prior(self, tmp_path, capsys):
+        code = main(["simstudy", "--informative-mean", "2", "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert "--informative-mean: informative_mean is read only by the 'informative'" \
+            in capsys.readouterr().err
+
     @pytest.mark.parametrize("draws", ["50", "-5"])
     def test_fit_assess_draws_checked_before_fitting(self, world, thinned, tmp_path, capsys,
                                                      draws):

@@ -343,6 +343,13 @@ class TestFit:
         for name in r1.summaries:
             assert r1.summaries[name] == r2.summaries[name]
 
+    def test_beta_precision_is_read(self):
+        pattern, covs, _ = unit_square_data(seed=3)
+        sds = [fit(pattern, covs, None, ModelSpec(covariate_names=("x1",), pc_prior=UNIT_PC,
+                                                  beta_precision=p)).summaries["x1"]["sd"]
+               for p in (0.01, 100.0)]
+        assert sds[1] < sds[0]
+
     def test_no_information_covariate(self):
         # a covariate that is identically zero leaves its coefficient at the
         # prior (mean 0, precision 0.01 -> sd 10)
@@ -406,6 +413,17 @@ class TestFit:
         with pytest.raises(ValueError, match="'mode' has 678 entries .* give 486"):
             FitResult.load(tmp_path, pattern, covs, None, naive_spec)
 
+    def test_load_ignores_saved_zeta(self, small_fit, naive_spec, tmp_path):
+        # files saved before the thinning rate was derived from the hyper vector hold a zeta array
+        result, pattern, covs = small_fit
+        result.save(tmp_path)
+        path = tmp_path / "fit_nodes.npz"
+        data = dict(np.load(path))
+        data["zeta"] = np.full(len(result.nodes), 7.0)
+        np.savez_compressed(path, **data)
+        back = FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+        assert back.summaries == result.summaries
+
     def test_load_rejects_other_cell_count(self, small_fit, naive_spec, tmp_path):
         result, pattern, covs = small_fit
         result.save(tmp_path)
@@ -421,7 +439,7 @@ class TestFit:
         spec = ModelSpec(covariate_names=("x1",), use_vse=True, zeta_fixed=2.0, pc_prior=UNIT_PC)
         assert spec.hyper_names() == ("log_rho", "log_sigma")
         result = fit(pattern, covs, unit_roads, spec)
-        assert all(node.zeta == 2.0 for node in result.nodes)
+        assert all(result._ctx.zeta_of(node.hyper) == 2.0 for node in result.nodes)
         assert all(node.hyper.shape == (2,) for node in result.nodes)
         assert sum(node.weight for node in result.nodes) == pytest.approx(1.0)
         assert all(math.isfinite(v) for s in result.summaries.values() for v in s.values())
@@ -457,6 +475,16 @@ class TestSpecValidation:
     def test_zeta_fixed_rejects_bad_values(self, zeta):
         with pytest.raises(ValueError, match="zeta_fixed must be nonnegative and finite"):
             ModelSpec(covariate_names=("x1",), use_vse=True, zeta_fixed=zeta)
+
+    @pytest.mark.parametrize("precision", [0.0, -1.0, float("nan"), float("inf")])
+    def test_beta_precision_rejects_bad_values(self, precision):
+        with pytest.raises(ValueError, match="prior precision must be positive and finite"):
+            ModelSpec(covariate_names=("x1",), beta_precision=precision)
+
+    def test_zeta_fixed_rejected_for_naive_model(self):
+        # the naive model has no thinning term to pin
+        with pytest.raises(ValueError, match="zeta_fixed is read only by the VSE model"):
+            ModelSpec(covariate_names=("x1",), use_vse=False, zeta_fixed=2.0)
 
     def test_grid_size_is_a_constant(self):
         assert ModelSpec(("x1",)).grid_points_per_dim == 5

@@ -79,6 +79,12 @@ class TestSimulateLgcp:
         assert np.all(surface.raster.values == -700.0)
         assert len(simulate_lgcp(surface, 1)) == 0
 
+    @pytest.mark.parametrize("field", [None, np.zeros((4, 4))])
+    def test_surface_needs_a_covariate(self, field):
+        cov = RasterGrid(Grid(0.0, 0.0, 0.25, 4, 4), np.zeros((4, 4)))
+        with pytest.raises(ValueError, match="need at least one covariate"):
+            make_log_intensity({"x1": cov}, 1.0, {}, field)
+
     def test_reproducible_counts_on_large_domain(self):
         # standardized covariate on a region-sized domain, production betas
         grid = Grid(0.0, 0.0, 7.5, 20, 20)

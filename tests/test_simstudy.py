@@ -14,7 +14,6 @@ from lgcpthin.simstudy import (
     ScenarioConfig,
     ScenarioResult,
     calibrate_zeta_scale,
-    coverage_table,
     expected_removal,
     run_scenarios,
     synthetic_assets,
@@ -106,8 +105,7 @@ class TestRunScenarios:
         res = fast_run
         truth = {"beta0": -4.25, "beta1": 0.82, "rho": 34.0,
                  "sigma": np.sqrt(0.7)}
-        table = coverage_table(res)
-        for entry in table:
+        for entry in res.aggregate():
             sel = [r for r in res.rows
                    if (r["scenario_index"], r["model"], r["parameter"])
                    == (entry["scenario_index"], entry["model"], entry["parameter"])]
@@ -122,7 +120,7 @@ class TestRunScenarios:
                  "covered": True, "ci_lo": -np.inf, "ci_hi": np.inf,
                  "ci_width": np.inf, "estimate": 0.8} for k in range(3)]
         res = ScenarioResult(rows, [], ScenarioConfig(), 1.0, (0.0,), (0.0,), 0, 3)
-        assert coverage_table(res)[0]["coverage"] == 1.0
+        assert res.aggregate()[0]["coverage"] == 1.0
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_reproducible_bit_identical(self, threads):
@@ -223,6 +221,12 @@ class TestConfigValidation:
         for threads in (0, -3):
             with pytest.raises(ValueError, match="threads"):
                 ScenarioConfig(threads=threads)
+
+    def test_rejects_informative_mean_with_default_preset(self):
+        # the default preset fits ModelSpec.theta_prior, whatever the mean says
+        with pytest.raises(ValueError, match="informative_mean is read only by the 'informative'"):
+            ScenarioConfig(informative_mean=2.0)
+        assert ScenarioConfig(informative_mean=2.0, theta_prior_preset="informative")
 
     @pytest.mark.parametrize("models", [(), ("VSE",), ("naive", "glm")])
     def test_rejects_unknown_models(self, models):
