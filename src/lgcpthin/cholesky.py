@@ -10,12 +10,11 @@ small dense border, eliminated by Schur complement.
 
 A band passed to ``BandedCholesky`` (directly or as a ``BorderedPrecision``
 field block) belongs to the factor from then on: a Fortran-ordered
-(column-major) band is factored in place, with no copy, and so holds the
-factor afterwards.  A C-ordered band is copied to column-major storage by the
-LAPACK wrapper and left as it was.  Callers that keep a band pass a copy:
-the fit's Hessian copies the prior's cached band, while
-``GmrfPrecision.chol()`` assembles a fresh band that the factor owns, so a
-field draw holds two bands, the factor and its transpose ``L^T``.
+(column-major) band is factored in place and holds the factor afterwards,
+while a C-ordered one is copied by the LAPACK wrapper.  Nobody keeps a band:
+``GmrfPrecision.banded`` assembles a new column-major one on each call, for
+each Newton Hessian and for the factor that a field draw holds beside its
+transpose ``L^T``.
 
 ``BandedCholesky`` makes four band calls: ``cholesky_banded`` (``pbtrf``) to
 factor, ``cho_solve_banded`` to solve, ``dtbtrs`` to solve ``L^T x = z`` for

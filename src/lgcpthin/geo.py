@@ -216,6 +216,11 @@ class PointPattern:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float).reshape(-1, 2)
         xmin, ymin, xmax, ymax = self.domain
+        if not all(math.isfinite(v) for v in self.domain):
+            raise ValueError(f"domain must be finite, got {self.domain}")
+        n_bad = int(np.count_nonzero(~np.isfinite(pts).all(axis=1)))
+        if n_bad:
+            raise ValueError(f"{n_bad} points have non-finite coordinates")
         if xmax <= xmin or ymax <= ymin:
             raise ValueError("domain rectangle is empty")
         if pts.size and (pts[:, 0].min() < xmin - 1e-9 or pts[:, 0].max() > xmax + 1e-9
@@ -416,6 +421,9 @@ def read_esri_ascii(path) -> RasterGrid:
         n_nodata = int(np.count_nonzero(values == header["nodata_value"]))
         if n_nodata:
             raise ParseError(f"{n_nodata} NODATA cells; every cell needs a value", path)
+    n_bad = int(np.count_nonzero(~np.isfinite(values)))
+    if n_bad:
+        raise ParseError(f"{n_bad} non-finite cells; every cell needs a finite value", path)
     return RasterGrid(grid, values, header.get("nodata_value"))
 
 
@@ -436,9 +444,12 @@ def read_points_csv(path, domain=None) -> PointPattern:
             if len(parts) < 2:
                 raise ParseError("expected 'x,y' fields", path, lineno)
             try:
-                pts.append((float(parts[0]), float(parts[1])))
+                x, y = float(parts[0]), float(parts[1])
             except ValueError as exc:
                 raise ParseError(f"non-numeric coordinate: {exc}", path, lineno)
+            if not (math.isfinite(x) and math.isfinite(y)):
+                raise ParseError(f"non-finite coordinate in {line!r}", path, lineno)
+            pts.append((x, y))
     arr = np.array(pts, dtype=float).reshape(-1, 2)
     if domain is None:
         if arr.size == 0:

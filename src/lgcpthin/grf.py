@@ -43,10 +43,6 @@ class MaternParams:
             raise ValueError("rho must be positive and finite")
 
     @property
-    def nu(self) -> float:
-        return NU
-
-    @property
     def kappa(self) -> float:
         """Spatial scale parameter, sqrt(8 nu) / rho."""
         return math.sqrt(8.0 * NU) / self.rho
@@ -138,8 +134,8 @@ class GmrfPrecision:
     """The lattice prior ``Q = (tau/h)^2 (kappa^2 h^2 I + G)^2`` at one (rho, sigma).
 
     G is the Neumann 5-point Laplacian, diagonalized by the 2-D DCT-II, so
-    ``log det Q`` has a closed form and ``Q x`` is two stencil passes.  The
-    banded storage and its Cholesky factor are built only when asked for.
+    ``log det Q`` has a closed form and ``Q x`` is two stencil passes.  No
+    band is kept: each request assembles one, and the factor is built on demand.
     """
 
     def __init__(self, ops: "_LatticeOperators", params: MaternParams):
@@ -150,17 +146,13 @@ class GmrfPrecision:
         self.shift = (params.kappa * h) ** 2   # kappa^2 h^2
         self.scale = (params.tau / h) ** 2     # (tau/h)^2
         self._ops = ops
-        self._banded: np.ndarray | None = None
         self._chol: BandedCholesky | None = None
 
     @property
     def banded(self) -> np.ndarray:
-        """Q in LAPACK lower-banded storage (bandwidth 2 nx); cached and shared,
-        so a caller that factors it factors a copy (:meth:`chol` assembles its
-        own)."""
-        if self._banded is None:
-            self._banded = self._ops.assemble_banded(self.params)
-        return self._banded
+        """Q in LAPACK lower-banded storage (bandwidth 2 nx), column-major and
+        new on each call, so the caller may factor it in place."""
+        return self._ops.assemble_banded(self.params)
 
     def _stencil(self, x: np.ndarray) -> np.ndarray:
         """(kappa^2 h^2 I + G) x."""
@@ -186,10 +178,9 @@ class GmrfPrecision:
                          + 2.0 * np.sum(np.log(self.shift + self._ops.laplacian_eigenvalues)))
 
     def chol(self) -> BandedCholesky:
-        """Banded Cholesky factor of Q, for sampling, made from a fresh band
-        that it owns, so the cached :attr:`banded` is not kept beside it."""
+        """Banded Cholesky factor of Q, for sampling, from a fresh :attr:`banded`."""
         if self._chol is None:
-            self._chol = BandedCholesky(self._ops.assemble_banded(self.params))
+            self._chol = BandedCholesky(self.banded)
         return self._chol
 
 
@@ -238,11 +229,11 @@ class _LatticeOperators:
         return GmrfPrecision(self, params)
 
     def assemble_banded(self, params: MaternParams) -> np.ndarray:
-        """Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^-1 G) in lower-banded storage."""
+        """Q = tau^2 (kappa^4 C + 2 kappa^2 G + G C^-1 G), lower-banded and column-major."""
         kappa, tau = params.kappa, params.tau
         t2, k4, k2 = tau * tau, kappa ** 4, 2.0 * kappa ** 2
         ny, nx = self.shape
-        ab = np.zeros((2 * nx + 1, nx * ny))
+        ab = np.zeros((2 * nx + 1, nx * ny), order="F")
         for k, c, g, gg in self._diagonals:
             ab[k, :nx * ny - k] = t2 * (k4 * c + k2 * g + gg)
         return ab

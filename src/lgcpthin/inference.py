@@ -217,20 +217,12 @@ class _ModelContext:
         return (-zeta * self.dist_nodes ** 2 / 2.0,
                 -zeta * self.dist_points ** 2 / 2.0)
 
-    def eta(self, u: np.ndarray, offsets) -> tuple[np.ndarray, np.ndarray]:
-        """Linear predictor at nodes and points for latent vector u."""
+    def eta(self, u: np.ndarray, offsets=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
+        """Linear predictor at nodes and points; u is a latent vector or (n, S) draws."""
         off_n, off_p = offsets
         omega, beta = u[: self.n_field], u[self.n_field:]
         eta_n = self.x_nodes @ beta + off_n + omega[self.sel_idx]
         eta_p = self.x_points @ beta + off_p + omega[self.obs_idx]
-        return eta_n, eta_p
-
-    def eta_many(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Linear predictor without the access offset for a (n, S) matrix of
-        latent draws; returns (cells, S), (points, S)."""
-        omega, beta = u[: self.n_field, :], u[self.n_field:, :]
-        eta_n = self.x_nodes @ beta + omega[self.sel_idx, :]
-        eta_p = self.x_points @ beta + omega[self.obs_idx, :]
         return eta_n, eta_p
 
     def loglik(self, u: np.ndarray, offsets) -> float:
@@ -247,27 +239,17 @@ class _ModelContext:
         grad_omega[self.sel_idx] -= lam  # sel_idx hits each field node at most once
         return np.concatenate([grad_omega, grad_beta])
 
-    def field_precision(self, log_rho: float, log_sigma: float) -> GmrfPrecision:
-        """The field prior at (rho, sigma)."""
-        params = MaternParams(sigma=math.exp(log_sigma), rho=math.exp(log_rho))
-        return self.ops.assemble(params)
+    def prior_at(self, v) -> GmrfPrecision:
+        """The field prior at hyper vector v = (log rho, log sigma, ...)."""
+        return self.ops.assemble(MaternParams(sigma=math.exp(v[1]), rho=math.exp(v[0])))
 
-    def prior_at(self, v: np.ndarray) -> GmrfPrecision:
-        """The field prior at hyper vector v."""
-        return self.field_precision(v[0], v[1])
-
-    def prior_quad_and_grad(self, u, prior: GmrfPrecision):
-        """-1/2 u' Q u (field + coefficient blocks) and its gradient."""
+    def log_post(self, u: np.ndarray, prior: GmrfPrecision, offsets):
+        """Latent log-posterior loglik - u' Q u / 2 (up to a constant) and its prior gradient."""
         omega, beta = u[: self.n_field], u[self.n_field:]
         prec_b = self.spec.beta_precision
         q_omega = prior.matvec(omega)
         val = -0.5 * prec_b * float(beta @ beta) - 0.5 * float(omega @ q_omega)
-        return val, np.concatenate([-q_omega, -prec_b * beta])
-
-    def log_post(self, u: np.ndarray, prior: GmrfPrecision, offsets):
-        """Latent log-posterior (up to a constant) and its prior gradient."""
-        val, prior_grad = self.prior_quad_and_grad(u, prior)
-        return self.loglik(u, offsets) + val, prior_grad
+        return self.loglik(u, offsets) + val, np.concatenate([-q_omega, -prec_b * beta])
 
     def curvature(self, u: np.ndarray, offsets) -> np.ndarray:
         """Poisson weights ``w_i exp(eta_i)``, capped so they stay finite."""
@@ -282,7 +264,7 @@ class _ModelContext:
         hbb = self.x_nodes.T @ (curvature[:, None] * self.x_nodes) + prec_b * np.eye(self.n_coef)
         hwb = np.zeros((self.n_field, self.n_coef))
         hwb[self.sel_idx] = curvature[:, None] * self.x_nodes
-        hw = np.array(prior.banded, order="F")  # factored in place; the prior's band is kept
+        hw = prior.banded  # a new column-major band, factored in place
         hw[0, self.sel_idx] += curvature
         return BorderedPrecision(hw, hwb, hbb)
 
@@ -420,11 +402,13 @@ def hyper_grid(log_marginal, start: np.ndarray,
     """Locate the hyper posterior mode and lay a regular grid around it.
 
     ``log_marginal`` maps a hyper vector to its Laplace log marginal (or
-    ``-inf`` where it cannot be evaluated).  Mode search is derivative-free
-    (Nelder-Mead); the grid's ``ModelSpec.grid_points_per_dim`` nodes per
-    dimension span +- 2.5 approximate posterior sds, from a finite-difference
-    Hessian at the mode.  On optimizer failure the spread falls back to 0.75
-    around the best center found, and the fallback is reported in diagnostics.
+    ``-inf`` where it cannot be evaluated), and may be asked for one vector
+    more than once: a caller keeps its own memo and count, as :func:`fit`
+    does.  Mode search is derivative-free (Nelder-Mead); the grid's
+    ``ModelSpec.grid_points_per_dim`` nodes per dimension span +- 2.5
+    approximate posterior sds, from a finite-difference Hessian at the mode.
+    On optimizer failure the spread falls back to 0.75 around the best center
+    found, and the fallback is reported in diagnostics.
 
     ``prescan`` maps a dimension index to candidate offsets from ``start``;
     the best candidate seeds the search.  Useful for weakly identified
@@ -435,16 +419,10 @@ def hyper_grid(log_marginal, start: np.ndarray,
     dim = start.size
     if dim == 0:
         raise ValueError("start must hold at least one hyperparameter")
-    diagnostics: dict = {"fallback": False, "n_evals": 0}
+    diagnostics: dict = {"fallback": False}
 
-    cache: dict[tuple, float] = {}
-
-    def f(v):
-        key = _node_key(v)
-        if key not in cache:
-            cache[key] = float(log_marginal(np.asarray(v)))
-            diagnostics["n_evals"] += 1
-        return cache[key]
+    def f(v) -> float:  # a Python float: the differences below may meet -inf
+        return float(log_marginal(v))
 
     if prescan:
         for axis, offsets in prescan.items():
@@ -543,9 +521,7 @@ class _GridMarginal:
         return self.values[np.clip(idx, 0, self.values.size - 1)]
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        u = rng.uniform(size=size)
-        idx = np.searchsorted(self.cdf, u, side="left")
-        return self.values[np.clip(idx, 0, self.values.size - 1)]
+        return self.quantile(rng.uniform(size=size))
 
 
 def _mixture_quantile(q: float, means, sds, weights) -> float:
@@ -745,19 +721,20 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     u0[ctx.n_field] = math.log(ctx.n_points / ctx.scheme.domain_area)
     warm = {"u": u0}
 
-    # keyed as hyper_grid's memo, so each node is evaluated once
-    evaluated: dict[tuple, HyperNode] = {}
+    # every hyper vector the search asks for, evaluated once: None where it
+    # is out of bounds or the Laplace step fails
+    evaluated: dict[tuple, HyperNode | None] = {}
     lo, hi = ctx.hyper_bounds()
 
     def log_marginal(v: np.ndarray) -> float:
-        if np.any(v < lo) or np.any(v > hi):
-            return -np.inf
-        node = _laplace_at(ctx, v, warm["u"])
-        if node is None:
-            return -np.inf
-        warm["u"] = node.mode
-        evaluated[_node_key(v)] = node
-        return node.laplace_log_marginal
+        key = _node_key(v)
+        if key not in evaluated:
+            in_box = not (np.any(v < lo) or np.any(v > hi))
+            evaluated[key] = _laplace_at(ctx, v, warm["u"]) if in_box else None
+            if evaluated[key] is not None:
+                warm["u"] = evaluated[key].mode
+        node = evaluated[key]
+        return -np.inf if node is None else node.laplace_log_marginal
 
     hyper_names = spec.hyper_names()
     prescan = None
@@ -771,7 +748,9 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
              for v, w in zip(grid.nodes, grid.weights) if w > 0.0]
     total = sum(n.weight for n in nodes)
     nodes = [replace(n, weight=n.weight / total) for n in nodes]
-    return FitResult(spec, nodes, ctx, grid.diagnostics)
+    # keeps fit.json's key order: fallback, n_evals, then any reason
+    diagnostics = {"fallback": False, "n_evals": len(evaluated), **grid.diagnostics}
+    return FitResult(spec, nodes, ctx, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -796,5 +775,5 @@ def predict_intensity(result: FitResult, draws: int = 1000, seed=0):
         raise ValueError(f"draws must be at least 2, got {draws}")
     ctx = result._ctx
     u, _ = result.sample_latent(np.random.default_rng(seed), draws)
-    eta_n, _ = ctx.eta_many(u)
+    eta_n, _ = ctx.eta(u)
     return summarize_log_intensity_draws(eta_n, ctx.grid)

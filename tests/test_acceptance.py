@@ -355,16 +355,15 @@ class TestCriterion12GradientCheck:
                              np.array([[0.4, 0.0], [0.4, 1.0]])))
         spec = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
         ctx = _ModelContext(pattern, covs, roads, spec)
-        q_field = ctx.field_precision(math.log(0.25), math.log(0.7))
+        q_field = ctx.prior_at([math.log(0.25), math.log(0.7)])
         offsets = ctx.offsets(1.5)
 
         def objective(u):
-            val, _ = ctx.prior_quad_and_grad(u, q_field)
-            return ctx.loglik(u, offsets) + val
+            return ctx.log_post(u, q_field, offsets)[0]
 
         rng = np.random.default_rng(3)
         u = 0.4 * rng.standard_normal(ctx.n_field + ctx.n_coef)
-        _, prior_grad = ctx.prior_quad_and_grad(u, q_field)
+        _, prior_grad = ctx.log_post(u, q_field, offsets)
         grad = ctx.loglik_grad(u, offsets) + prior_grad
         h = 1e-5
         worst = 0.0

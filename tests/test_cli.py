@@ -354,6 +354,13 @@ class TestErrorHandling:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_fit_rejects_nan_point(self, world, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("x,y\n2.5,3.5\nnan,4.0\n")
+        code = main(fit_args(world, bad, tmp_path / "o", "naive"))
+        assert code == 1
+        assert "line 3: non-finite coordinate" in capsys.readouterr().err
+
     @pytest.mark.parametrize("res", ["0", "-3"])
     def test_explore_grid_res_below_one(self, world, simulated, tmp_path, capsys, res):
         code = main(["explore", "--points", str(simulated / "points.csv"),

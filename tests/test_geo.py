@@ -453,6 +453,15 @@ class TestGridRaster:
         p = PointPattern(np.array([[0.5, 0.5]]), (0, 0, 1, 1))
         assert len(p) == 1 and p.area == 1.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_pattern_rejects_non_finite(self, bad):
+        # a NaN coordinate would pass the domain test and become a garbage
+        # cell index; a non-finite domain has no area
+        with pytest.raises(ValueError, match="1 points have non-finite coordinates"):
+            PointPattern(np.array([[bad, 0.5], [0.5, 0.5]]), (0, 0, 1, 1))
+        with pytest.raises(ValueError, match="domain must be finite"):
+            PointPattern(np.array([[0.5, 0.5]]), (0, 0, bad, 1))
+
 
 class TestFileFormats:
     def test_esri_ascii_roundtrip(self, tmp_path):
@@ -470,6 +479,13 @@ class TestFileFormats:
         path.write_text("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
                         "NODATA_value -9999\n1.0 -9999 2.0\n-9999 0.5 0.25\n")
         with pytest.raises(ParseError, match="2 NODATA cells"):
+            geo.read_esri_ascii(path)
+
+    def test_esri_ascii_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "nan.asc"
+        path.write_text("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
+                        "1.0 nan 2.0\n-inf 0.5 inf\n")
+        with pytest.raises(ParseError, match="3 non-finite cells"):
             geo.read_esri_ascii(path)
 
     def test_esri_ascii_bad_header(self, tmp_path):
@@ -490,6 +506,12 @@ class TestFileFormats:
         path.write_text("x,y\n0.1,oops\n")
         with pytest.raises(ParseError, match="line 2"):
             geo.read_points_csv(path)
+
+    def test_points_csv_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("x,y\n0.1,0.2\nnan,0.5\n")
+        with pytest.raises(ParseError, match="line 3: non-finite coordinate"):
+            geo.read_points_csv(path, domain=(0, 0, 1, 1))
 
     def test_geojson_roundtrip(self, tmp_path, simple_roads):
         path = tmp_path / "roads.geojson"

@@ -184,6 +184,14 @@ class TestBuildPrecision:
         assert np.array_equal(a.matvec(x), b.matvec(x))
         assert a.logdet() == b.logdet()
 
+    def test_band_is_new_and_column_major(self):
+        # a band belongs to whoever factors it, so each request assembles one
+        prec = build_precision(Grid(0.0, 0.0, 0.05, 8, 6), MaternParams(sigma=1.0, rho=0.3))
+        a, b = prec.banded, prec.banded
+        assert a.flags.f_contiguous and b.flags.f_contiguous
+        assert a is not b and not np.shares_memory(a, b)
+        assert np.array_equal(a, b)
+
     def test_white_noise_limit(self):
         # kappa large (rho tiny): off-diagonal mass vanishes relative to diagonal
         grid = Grid(0.0, 0.0, 1.0, 8, 8)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lgcpthin import inference
 from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork
 from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
@@ -67,16 +68,15 @@ class TestGradient:
         pattern, covs, _ = unit_square_data(seed=5, n=8)
         spec = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
         ctx = _ModelContext(pattern, covs, unit_roads, spec)
-        q_field = ctx.field_precision(math.log(0.2), math.log(0.8))
+        q_field = ctx.prior_at([math.log(0.2), math.log(0.8)])
         offsets = ctx.offsets(2.0)
 
         def objective(u):
-            val, _ = ctx.prior_quad_and_grad(u, q_field)
-            return ctx.loglik(u, offsets) + val
+            return ctx.log_post(u, q_field, offsets)[0]
 
         rng = np.random.default_rng(17)
         u = 0.3 * rng.standard_normal(ctx.n_field + ctx.n_coef)
-        _, prior_grad = ctx.prior_quad_and_grad(u, q_field)
+        _, prior_grad = ctx.log_post(u, q_field, offsets)
         grad = ctx.loglik_grad(u, offsets) + prior_grad
         coords = rng.choice(u.size, size=20, replace=False)
         h = 1e-5
@@ -162,17 +162,17 @@ def study_field_ctx():
     spec = ModelSpec(covariate_names=(assets.covariate_name,), pc_prior=config.pc_prior)
     ctx = _ModelContext(PointPattern(points, bbox), assets.covariates, None, spec)
     assert ctx.n_field == 38 * 38
-    prior = ctx.field_precision(math.log(config.true_rho), math.log(config.true_sigma))
+    prior = ctx.prior_at([math.log(config.true_rho), math.log(config.true_sigma)])
     curvature = ctx.scheme.weights * math.exp(-4.0)
     return ctx, prior, curvature
 
 
 class TestHessianStorage:
-    """The Hessian band is one private copy, factored in place."""
+    """Each Hessian assembles its own band, factored in place."""
 
     def test_prior_band_never_written(self, study_field_ctx):
-        # factoring the cached prior band in place would corrupt every later
-        # Newton step at that hyper vector
+        # every band the prior hands out is new: factoring one in place must
+        # leave the next one, and every later Newton step, as they were
         ctx, prior, curvature = study_field_ctx
         band = prior.banded.tobytes()
         ctx.hessian(curvature, prior)
@@ -449,6 +449,22 @@ class TestFit:
         empty = PointPattern(np.empty((0, 2)), grid.bbox)
         with pytest.raises(ValueError):
             fit(empty, covs, None, naive_spec)
+
+    def test_each_hyper_vector_evaluated_once(self, unit_roads, monkeypatch):
+        # fit keeps the one memo of Laplace evaluations, and counts it
+        seen = []
+        laplace_at = inference._laplace_at
+
+        def spy(ctx, v, warm):
+            seen.append(inference._node_key(v))
+            return laplace_at(ctx, v, warm)
+
+        monkeypatch.setattr(inference, "_laplace_at", spy)
+        pattern, covs, _ = unit_square_data(seed=5, n=8)
+        spec = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
+        result = fit(pattern, covs, unit_roads, spec)
+        assert seen and len(set(seen)) == len(seen)
+        assert result.hyper_diagnostics["n_evals"] >= len(seen)
 
     def test_vse_requires_roads(self):
         pattern, covs, _ = unit_square_data(seed=1)
