@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
+from operator import methodcaller
 
 import numpy as np
 
@@ -32,8 +34,9 @@ from lgcpthin.simstudy import THETA_PRIOR_PRESETS, ScenarioConfig, run_scenarios
 def read_config(path) -> dict:
     """Parse a flat ``key = value`` file; '#' starts a comment.
 
-    Values are parsed as bool, int, float, comma list, or string, in that
-    order of preference.
+    Each value is text, or a list of texts where it holds a comma, with
+    surrounding quotes stripped; ``_parse_args`` converts it by its option's
+    type.
     """
     out: dict = {}
     with open(path) as fh:
@@ -47,21 +50,10 @@ def read_config(path) -> dict:
             key = key.strip().replace("-", "_")
             if not key:
                 raise ParseError("empty key", path, lineno)
-            out[key] = _parse_value(raw.strip())
+            raw = raw.strip()
+            parts = [part.strip().strip("'\"") for part in raw.split(",") if part.strip()]
+            out[key] = parts if "," in raw else raw.strip("'\"")
     return out
-
-
-def _parse_value(raw: str):
-    if raw.lower() in ("true", "false"):
-        return raw.lower() == "true"
-    if "," in raw:
-        return [_parse_value(part.strip()) for part in raw.split(",") if part.strip()]
-    for cast in (int, float):
-        try:
-            return cast(raw)
-        except ValueError:
-            pass
-    return raw.strip("'\"")
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
@@ -90,11 +82,12 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
                              f"takes one value for {key!r}", args.config)
         values = value if isinstance(value, list) else [value]
         if action.nargs == 0:  # a switch
-            if not isinstance(value, bool):
+            if value.lower() not in ("true", "false"):
                 raise ParseError(f"{key} = {value!r} is not true or false", args.config)
+            values = [value.lower() == "true"]
         else:  # as argparse converts a flag's string
             try:
-                values = [(action.type or str)(str(v)) for v in values]
+                values = [(action.type or str)(v) for v in values]
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{key} = {value!r}: {exc}", args.config) from exc
         if action.choices and any(v not in action.choices for v in values):
@@ -112,32 +105,33 @@ def _parse_args(parser: argparse.ArgumentParser, argv) -> argparse.Namespace:
 # Small helpers
 # ---------------------------------------------------------------------------
 
+# numpy scalars and arrays as JSON numbers and lists; np.float64 is a float
+_TO_JSON = methodcaller("tolist")
+
+
 class _Run:
-    """Tracks artifacts and writes the manifest on completion."""
+    """Tracks artifacts and writes the manifest on completion.  The output
+    directory is made when the first file goes into it, so a run that fails
+    on its inputs leaves none behind."""
 
     def __init__(self, command: str, args: argparse.Namespace):
-        import os
-
         self.command = command
         self.outdir = args.out
-        os.makedirs(self.outdir, exist_ok=True)
         self.t0 = time.time()
         self.artifacts: list[str] = []
         self.options = {k: v for k, v in vars(args).items() if k != "func"}
 
     def path(self, name: str) -> str:
-        import os
-
+        os.makedirs(self.outdir, exist_ok=True)
         self.artifacts.append(name)
         return os.path.join(self.outdir, name)
 
     def finish(self, extra: dict | None = None) -> int:
-        import os
         import scipy
 
         manifest = {
             "command": self.command,
-            "options": _jsonable(self.options),
+            "options": self.options,
             "seed": self.options.get("seed"),
             "versions": {"lgcpthin": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__,
@@ -146,24 +140,13 @@ class _Run:
             "artifacts": self.artifacts,
         }
         if extra:
-            manifest.update(_jsonable(extra))
+            manifest.update(extra)
+        os.makedirs(self.outdir, exist_ok=True)
         with open(os.path.join(self.outdir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2)
+            json.dump(manifest, fh, indent=2, default=_TO_JSON)
         missing = [a for a in self.artifacts
                    if not os.path.exists(os.path.join(self.outdir, a))]
         return 1 if missing else 0
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.integer, np.floating)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    return obj
 
 
 def _load_covariates(pairs: list[str]) -> dict[str, RasterGrid]:
@@ -200,13 +183,6 @@ def _model_spec(args, covariate_names) -> ModelSpec:
                              NormalPrior, args.theta_mean, args.theta_precision),
         zeta_fixed=args.zeta_fixed,
     )
-
-
-def _write_csv(path, header: list[str], rows) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(map(str, row)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +223,11 @@ def cmd_explore(args) -> int:
             summary["covariate_distance_correlation"][name] = geo.pearson_corr(
                 rast.values.ravel(), cell_d)
     with open(run.path("explore.json"), "w") as fh:
-        json.dump(_jsonable(summary), fh, indent=2)
+        json.dump(summary, fh, indent=2, default=_TO_JSON)
     support = np.unique(np.concatenate([point_dists, grid_dists]))
     f_pts, f_grid = geo.ecdf(point_dists), geo.ecdf(grid_dists)
-    _write_csv(run.path("ecdf.csv"), ["distance", "ecdf_points", "ecdf_reference"],
-               zip(support.tolist(), f_pts(support).tolist(), f_grid(support).tolist()))
+    geo.write_csv(run.path("ecdf.csv"), ["distance", "ecdf_points", "ecdf_reference"],
+                  zip(support.tolist(), f_pts(support).tolist(), f_grid(support).tolist()))
     return run.finish()
 
 
@@ -306,8 +282,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    import os
-
     run = _Run("predict", args)
     with open(os.path.join(args.fit, "manifest.json")) as fh:
         fit_manifest = json.load(fh)
@@ -347,16 +321,14 @@ def cmd_simstudy(args) -> int:
     result.to_csv(run.path("results.csv"))
     result.scores_to_csv(run.path("scores.csv"))
     columns = ["scenario_index", "zeta", "model", "parameter", "coverage", "mean_ci_width"]
-    _write_csv(run.path("coverage.csv"), columns,
-               [[a[c] for c in columns] for a in result.aggregate()])
+    geo.write_csv(run.path("coverage.csv"), columns,
+                  [[a[c] for c in columns] for a in result.aggregate()])
     with open(run.path("summary.md"), "w") as fh:
         fh.write(result.to_markdown() + "\n")
     return run.finish(result.metadata())
 
 
 def cmd_report(args) -> int:
-    import os
-
     run = _Run("report", args)
     rows = []
     for fit_dir in args.fits:
@@ -365,7 +337,7 @@ def cmd_report(args) -> int:
         scores = doc.get("scores") or {}
         rows.append([doc.get("model", fit_dir), scores.get("dic"),
                      scores.get("waic"), scores.get("lpml")])
-    _write_csv(run.path("comparison.csv"), ["model", "dic", "waic", "lpml"], rows)
+    geo.write_csv(run.path("comparison.csv"), ["model", "dic", "waic", "lpml"], rows)
     return run.finish()
 
 

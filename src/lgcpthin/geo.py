@@ -378,14 +378,19 @@ def write_esri_ascii(raster: RasterGrid, path) -> None:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one line per row, each value as ``str`` prints
+    it; for a Python float that is its shortest round-trip text."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(map(str, row)) + "\n")
+
+
 def write_raster_csv(raster: RasterGrid, path) -> None:
     """Write raster values as ``x,y,value`` rows at cell centers."""
-    centers = raster.grid.cell_centers()
-    flat = raster.values.ravel()
-    with open(path, "w") as fh:
-        fh.write("x,y,value\n")
-        for (x, y), v in zip(centers, flat):
-            fh.write(f"{float(x)!r},{float(y)!r},{float(v)!r}\n")
+    rows = np.column_stack([raster.grid.cell_centers(), raster.values.ravel()])
+    write_csv(path, ["x", "y", "value"], rows.tolist())
 
 
 def read_esri_ascii(path) -> RasterGrid:
@@ -461,10 +466,7 @@ def read_points_csv(path, domain=None) -> PointPattern:
 
 
 def write_points_csv(pattern: PointPattern, path) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,y\n")
-        for x, y in pattern.points:
-            fh.write(f"{float(x)!r},{float(y)!r}\n")
+    write_csv(path, ["x", "y"], pattern.points.tolist())
 
 
 def read_roads_geojson(path) -> RoadNetwork:

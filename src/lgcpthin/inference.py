@@ -331,8 +331,7 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarr
                 accepted = True
                 break
             t *= 0.5
-        if not accepted:
-            grad = ctx.loglik_grad(u, offsets) + prior_grad
+        if not accepted:  # u and prior_grad, so grad too, are as at the loop's top
             if np.max(np.abs(grad)) < 1e-3:
                 break  # at numerical optimum; gradient already negligible
             raise FitError("Newton line search failed to increase the objective")

@@ -27,7 +27,7 @@ import numpy as np
 
 from lgcpthin import assess
 from lgcpthin.errors import FitError, LgcpThinError
-from lgcpthin.geo import Grid, RasterGrid, RoadNetwork, distance_raster, pearson_corr
+from lgcpthin.geo import Grid, RasterGrid, RoadNetwork, distance_raster, pearson_corr, write_csv
 from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
 from lgcpthin.inference import ModelSpec, NormalPrior, fit
 from lgcpthin.pointprocess import ThinningConfig, make_log_intensity, simulate_lgcp, thin
@@ -163,17 +163,11 @@ class ScenarioResult:
     def to_csv(self, path) -> None:
         cols = ["scenario_index", "scenario", "model", "parameter", "replicate",
                 "bias", "rmse", "covered", "ci_width", "estimate"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in self.rows:
-                fh.write(",".join(str(r[c]) for c in cols) + "\n")
+        write_csv(path, cols, ([r[c] for c in cols] for r in self.rows))
 
     def scores_to_csv(self, path) -> None:
         cols = ["scenario_index", "scenario", "model", "replicate", "dic", "waic", "lpml"]
-        with open(path, "w") as fh:
-            fh.write(",".join(cols) + "\n")
-            for r in self.score_rows:
-                fh.write(",".join(str(r[c]) for c in cols) + "\n")
+        write_csv(path, cols, ([r[c] for c in cols] for r in self.score_rows))
 
     def to_markdown(self) -> str:
         lines = ["| scenario (zeta) | model | parameter | mean bias | mean RMSE | coverage | mean CI width |",

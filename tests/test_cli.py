@@ -173,14 +173,30 @@ class TestExplore:
 
     def test_csv_bytes_equal_numpy_scalar_formatting(self, tmp_path):
         # explore passes its columns as lists of floats; they must print as
-        # the numpy scalars that it once passed row by row
+        # the numpy scalars that it once passed row by row.  The point and
+        # raster writers pass their arrays' rows as lists; they must print as
+        # the f-string reprs that those writers once wrote
         rng = np.random.default_rng(3)
         edge = [1e-05, 1e+16, -0.0, 5e-324, float("inf"), 0.1, 1 / 3, 2.0 ** -1074 * 3]
         cols = [np.concatenate([edge, rng.normal(size=500) * 10.0 ** rng.integers(-20, 20, 500)]),
                 rng.uniform(size=508), np.arange(508) / 508]
         path = tmp_path / "cols.csv"
-        cli._write_csv(path, ["a", "b", "c"], zip(*(c.tolist() for c in cols)))
+        geo.write_csv(path, ["a", "b", "c"], zip(*(c.tolist() for c in cols)))
         old = "a,b,c\n" + "".join(",".join(str(v) for v in row) + "\n" for row in zip(*cols))
+        assert path.read_bytes() == old.encode()
+
+        finite = cols[0][np.isfinite(cols[0])]
+        pts = np.column_stack([finite, finite[::-1]])
+        big = 2.0 * np.abs(pts).max()
+        geo.write_points_csv(geo.PointPattern(pts, (-big, -big, big, big)), path)
+        old = "x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in pts)
+        assert path.read_bytes() == old.encode()
+
+        raster = RasterGrid(Grid(-1e+16, 5e-324, 1 / 3, 127, 4), cols[0].reshape(4, 127))
+        geo.write_raster_csv(raster, path)
+        old = "x,y,value\n" + "".join(
+            f"{float(x)!r},{float(y)!r},{float(v)!r}\n"
+            for (x, y), v in zip(raster.grid.cell_centers(), raster.values.ravel()))
         assert path.read_bytes() == old.encode()
 
 
@@ -247,7 +263,7 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("# comment\nseed = 11\nzeta = 2.5\n")
         parsed = read_config(cfg)
-        assert parsed == {"seed": 11, "zeta": 2.5}
+        assert parsed == {"seed": "11", "zeta": "2.5"}  # text, for each option's type
         out = tmp_path / "thin_cfg"
         sim = world["root"] / "sim"
         code = main(["thin", "--points", str(sim / "points.csv"),
@@ -308,11 +324,16 @@ class TestConfigFile:
     def test_values_take_their_option_type(self, tmp_path):
         # as the same values given as flags would: a number-like path stays a string
         cfg = tmp_path / "types.cfg"
+        predict = ["predict", "--fit", "f", "--config", str(cfg), "--out", "o"]
         cfg.write_text("roads = 2019\ncovariate = x1=a.asc, x2=b.asc\n")
-        args = _parse_args(build_parser(), ["predict", "--fit", "f",
-                                            "--config", str(cfg), "--out", "o"])
+        args = _parse_args(build_parser(), predict)
         assert args.roads == "2019"
         assert args.covariate == ["x1=a.asc", "x2=b.asc"]
+        cfg.write_text("roads = 007\npoints = 1.50\n")
+        args = _parse_args(build_parser(), predict)
+        assert (args.roads, args.points) == ("007", "1.50")
+        cfg.write_text("roads = TRUE\n")
+        assert _parse_args(build_parser(), predict).roads == "TRUE"
         cfg.write_text("domain_size = 90\nzeta_levels = 0, 16\nself_test = true\n")
         args = _parse_args(build_parser(), ["simstudy", "--config", str(cfg), "--out", "o"])
         assert [type(v) for v in (args.domain_size, *args.zeta_levels)] == [float] * 3
@@ -353,6 +374,7 @@ class TestErrorHandling:
                      "--zeta", "1", "--out", str(tmp_path / "o")])
         assert code == 1
         assert "line 2" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_fit_rejects_nan_point(self, world, tmp_path, capsys):
         bad = tmp_path / "nan.csv"
@@ -360,6 +382,7 @@ class TestErrorHandling:
         code = main(fit_args(world, bad, tmp_path / "o", "naive"))
         assert code == 1
         assert "line 3: non-finite coordinate" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()  # made only when the first file is written
 
     @pytest.mark.parametrize("res", ["0", "-3"])
     def test_explore_grid_res_below_one(self, world, simulated, tmp_path, capsys, res):
@@ -416,3 +439,4 @@ class TestErrorHandling:
                      "--roads", world["roads"], "--out", str(tmp_path / "o")])
         assert code == 1
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
