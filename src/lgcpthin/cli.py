@@ -12,11 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import time
 from operator import methodcaller
 
 import numpy as np
+import scipy
 
 from lgcpthin import __version__, assess, geo
 from lgcpthin.errors import LgcpThinError, ParseError
@@ -31,28 +33,40 @@ from lgcpthin.simstudy import THETA_PRIOR_PRESETS, ScenarioConfig, run_scenarios
 # Config files
 # ---------------------------------------------------------------------------
 
+_QUOTED = re.compile("\"[^\"]*\"|'[^']*'")
+_CONFIG_PIECES = re.compile(f"({_QUOTED.pattern}|,|#)")  # re.split keeps each as a piece
+
+
 def read_config(path) -> dict:
     """Parse a flat ``key = value`` file; '#' starts a comment.
 
-    Each value is text, or a list of texts where it holds a comma, with
-    surrounding quotes stripped; ``_parse_args`` converts it by its option's
-    type.
+    Each value is text, or a list of texts where a comma separates items.  A
+    quoted item is taken verbatim, '#' and ',' included; other items lose any
+    quotes at their ends.  ``_parse_args`` converts each by its option's type.
     """
     out: dict = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
+            head = line.split("#", 1)[0]
+            if not head.strip():
                 continue
-            if "=" not in text:
+            if "=" not in head:
                 raise ParseError("expected 'key = value'", path, lineno)
-            key, _, raw = text.partition("=")
+            key, _, raw = line.partition("=")
             key = key.strip().replace("-", "_")
             if not key:
                 raise ParseError("empty key", path, lineno)
-            raw = raw.strip()
-            parts = [part.strip().strip("'\"") for part in raw.split(",") if part.strip()]
-            out[key] = parts if "," in raw else raw.strip("'\"")
+            items = [""]
+            for piece in _CONFIG_PIECES.split(raw):
+                if piece == "#":
+                    break
+                if piece == ",":
+                    items.append("")
+                else:
+                    items[-1] += piece
+            items = [item.strip() for item in items]
+            texts = [t[1:-1] if _QUOTED.fullmatch(t) else t.strip("'\"") for t in items]
+            out[key] = texts[0] if len(texts) == 1 else [t for t, item in zip(texts, items) if item]
     return out
 
 
@@ -127,8 +141,6 @@ class _Run:
         return os.path.join(self.outdir, name)
 
     def finish(self, extra: dict | None = None) -> int:
-        import scipy
-
         manifest = {
             "command": self.command,
             "options": self.options,

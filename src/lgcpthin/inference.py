@@ -6,13 +6,16 @@ observed intensity on covariates plus a latent Matern field, and the *VSE*
 ``log q(s) = -zeta d(s)^2 / 2`` with ``zeta = exp(theta)`` treated as an
 extra hyperparameter.
 
+The likelihood is evaluated at weighted integration nodes and at the points,
+each described alike: a field node, a design row and, for VSE, a distance.
+
 Inference is a nested Laplace approximation: for each node of a grid in
 hyperparameter space the joint mode of (field, coefficients) is found by
 Newton iterations, a Gaussian approximation is formed there, and nodes are
 weighted by their Laplace-approximated marginal likelihood.  Each evaluation
-is one :class:`HyperNode`; the fit keeps the grid nodes with positive weight.
-Posterior marginals are Gaussian mixtures (coefficients) or interpolated grid
-marginals (hyperparameters).
+is one :class:`HyperNode`, whose Hessian is rebuilt from its mode; the fit
+keeps the grid nodes with positive weight.  Posterior marginals are Gaussian
+mixtures (coefficients) or interpolated grid marginals (hyperparameters).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 from typing import ClassVar
 
@@ -30,7 +34,7 @@ from scipy.stats import norm
 
 from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.errors import FitError, NotSpdError
-from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork, distances_to_roads, distance_raster
+from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork, distances_to_roads
 from lgcpthin.grf import GmrfPrecision, MaternParams, PcPriorSpec, _LatticeOperators, extension_margin, pc_prior_logdensity
 from lgcpthin.pointprocess import IntegrationScheme, _cox_loglik
 
@@ -100,13 +104,13 @@ class HyperNode:
     ``hyper`` is ordered as ``spec.hyper_names()``; the thinning rate in
     force there is ``_ModelContext.zeta_of(hyper)``.  ``weight`` is the
     node's normalized mixture weight in a fit (0 before normalization).
+    ``_ModelContext.hessian_at(hyper, mode)`` rebuilds the Gaussian's Hessian.
     """
 
     hyper: np.ndarray
     laplace_log_marginal: float
     weight: float
     mode: np.ndarray = field(repr=False)
-    curvature_weights: np.ndarray = field(repr=False)  # Poisson weights at the mode
     beta_cov: np.ndarray = field(repr=False)
 
     @property
@@ -130,7 +134,9 @@ _FALLBACK_SPREAD = 0.75  # hyper grid spread per dimension when the mode's Hessi
 # ---------------------------------------------------------------------------
 
 class _ModelContext:
-    """Fixed design of one fit: grids, design matrices, distances, priors."""
+    """Fixed design of one fit: grids, priors, and the field indices, design
+    rows and distances of the integration nodes and of the points, from one
+    lookup.  Node terms enter the field block summed per field node."""
 
     def __init__(self, pattern: PointPattern, covariates: dict[str, RasterGrid],
                  roads: RoadNetwork | None, spec: ModelSpec):
@@ -152,7 +158,6 @@ class _ModelContext:
         self.grid = grid
         self.scheme = IntegrationScheme.from_grid(grid)
         self.n_points = len(pattern)
-        self.n_cells = grid.n_cells
 
         # latent field lives on the extended grid; fixed margin per fit
         ref = MaternParams(sigma=1.0, rho=spec.pc_prior.rho_median)
@@ -161,59 +166,42 @@ class _ModelContext:
         self.n_field = self.ext_grid.n_cells
         self.ops = _LatticeOperators(self.ext_grid)
 
-        # design: intercept + covariates at cells and at points.  Points use
-        # their containing cell's value, the same functional the integral
-        # term sees; a finer point-level functional (interpolation, exact
-        # lookup on a finer raster) either biases the coefficient against the
-        # midpoint integral or, mixed with a different field rule, leaves the
-        # penalized objective unbounded along weak-prior directions.
-        cells = [np.ones(self.n_cells)]
-        pts = [np.ones(self.n_points)]
-        for name in spec.covariate_names:
-            rast = covariates[name]
-            cells.append(rast.values.ravel())
-            pts.append(rast.value_at(pattern.points))
-        self.x_nodes = np.column_stack(cells)
-        self.x_points = np.column_stack(pts)
+        self.node_field, self.x_nodes, self.dist_nodes = self._sites(
+            self.scheme.nodes, covariates, roads)
+        self.point_field, self.x_points, self.dist_points = self._sites(
+            pattern.points, covariates, roads)
         self.n_coef = self.x_nodes.shape[1]
-
-        self.sel_idx = self._selection_indices()
-        self.obs_idx = self._point_cells(pattern.points)
-        self._field_pull = np.bincount(self.obs_idx, minlength=self.n_field).astype(float)
+        self._field_pull = np.bincount(self.point_field, minlength=self.n_field).astype(float)
         self._coef_pull = self.x_points.sum(axis=0)
-
-        if spec.use_vse:
-            self.dist_nodes = distance_raster(grid, roads).values.ravel()
-            self.dist_points = distances_to_roads(pattern.points, roads)
-        else:
-            self.dist_nodes = None
-            self.dist_points = None
 
         self.param_names = ["beta0"] + list(spec.covariate_names)
 
-    def _selection_indices(self) -> np.ndarray:
-        """Extended-grid flat index of each domain cell center."""
-        m = self.margin
-        jj, ii = np.divmod(np.arange(self.n_cells), self.grid.nx)
-        return (jj + m) * self.ext_grid.nx + (ii + m)
+    def _sites(self, locations: np.ndarray, covariates: dict[str, RasterGrid],
+               roads: RoadNetwork | None):
+        """Extended-grid field index, design row and exact road distance (VSE
+        only) of each location, from its domain cell's field node and values.
 
-    def _point_cells(self, points: np.ndarray) -> np.ndarray:
-        """Point -> containing domain cell, as extended-grid node indices.
+        Nodes and points see one functional, so every field node feeding a
+        point also faces the integral's barrier.  A finer point functional
+        biases the coefficient against the midpoint integral, or leaves the
+        objective unbounded along weak-prior directions."""
+        i, j = self.grid.cell_index(locations)
+        field_idx = (j + self.margin) * self.ext_grid.nx + (i + self.margin)
+        design = np.column_stack([np.ones(len(locations))] + [
+            covariates[name].value_at(locations) for name in self.spec.covariate_names])
+        dist = distances_to_roads(locations, roads) if self.spec.use_vse else None
+        return field_idx, design, dist
 
-        Matches the functional the integral term sees; only domain nodes are
-        referenced, so every node feeding a point predictor also faces the
-        exponential integral barrier.
-        """
-        i, j = self.grid.cell_index(points)
-        m = self.margin
-        return (j + m) * self.ext_grid.nx + (i + m)
+    def _to_field(self, values: np.ndarray) -> np.ndarray:
+        """Sum per-node values into the field block, one entry per field node."""
+        return np.bincount(self.node_field, values, minlength=self.n_field)
 
     # -- linear predictor pieces -------------------------------------------
 
     def offsets(self, zeta: float) -> tuple[np.ndarray, np.ndarray]:
-        """log q at integration nodes (raster distances) and points (exact)."""
+        """log q at the integration nodes and at the points, from the distances at each."""
         if not self.spec.use_vse or zeta == 0.0:
-            return (np.zeros(self.n_cells), np.zeros(self.n_points))
+            return (np.zeros(len(self.scheme)), np.zeros(self.n_points))
         return (-zeta * self.dist_nodes ** 2 / 2.0,
                 -zeta * self.dist_points ** 2 / 2.0)
 
@@ -221,8 +209,8 @@ class _ModelContext:
         """Linear predictor at nodes and points; u is a latent vector or (n, S) draws."""
         off_n, off_p = offsets
         omega, beta = u[: self.n_field], u[self.n_field:]
-        eta_n = self.x_nodes @ beta + off_n + omega[self.sel_idx]
-        eta_p = self.x_points @ beta + off_p + omega[self.obs_idx]
+        eta_n = self.x_nodes @ beta + off_n + omega[self.node_field]
+        eta_p = self.x_points @ beta + off_p + omega[self.point_field]
         return eta_n, eta_p
 
     def loglik(self, u: np.ndarray, offsets) -> float:
@@ -235,9 +223,7 @@ class _ModelContext:
         with np.errstate(over="ignore"):
             lam = self.scheme.weights * np.exp(eta_n)
         grad_beta = -self.x_nodes.T @ lam + self._coef_pull
-        grad_omega = self._field_pull.copy()
-        grad_omega[self.sel_idx] -= lam  # sel_idx hits each field node at most once
-        return np.concatenate([grad_omega, grad_beta])
+        return np.concatenate([self._field_pull - self._to_field(lam), grad_beta])
 
     def prior_at(self, v) -> GmrfPrecision:
         """The field prior at hyper vector v = (log rho, log sigma, ...)."""
@@ -261,12 +247,16 @@ class _ModelContext:
         """Negated Hessian of the penalized objective at Poisson weights
         ``curvature = w_i exp(eta_i)``; SPD by construction."""
         prec_b = self.spec.beta_precision
-        hbb = self.x_nodes.T @ (curvature[:, None] * self.x_nodes) + prec_b * np.eye(self.n_coef)
-        hwb = np.zeros((self.n_field, self.n_coef))
-        hwb[self.sel_idx] = curvature[:, None] * self.x_nodes
+        weighted = curvature[:, None] * self.x_nodes
+        hbb = self.x_nodes.T @ weighted + prec_b * np.eye(self.n_coef)
+        hwb = np.column_stack([self._to_field(col) for col in weighted.T])
         hw = prior.banded  # a new column-major band, factored in place
-        hw[0, self.sel_idx] += curvature
+        hw[0] += self._to_field(curvature)
         return BorderedPrecision(hw, hwb, hbb)
+
+    def hessian_at(self, v: np.ndarray, u: np.ndarray) -> BorderedPrecision:
+        """The Gaussian approximation's Hessian at hyper vector v and mode u."""
+        return self.hessian(self.curvature(u, self.offsets(self.zeta_of(v))), self.prior_at(v))
 
     def hyper_log_prior(self, v: np.ndarray) -> float:
         """Prior density of the hyper vector, with log-scale Jacobians."""
@@ -295,9 +285,7 @@ class _ModelContext:
         spec = self.spec
         if not spec.use_vse:
             return 0.0
-        if spec.zeta_fixed is not None:
-            return spec.zeta_fixed
-        return math.exp(v[-1])
+        return spec.zeta_fixed if spec.zeta_fixed is not None else math.exp(v[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +295,8 @@ class _ModelContext:
 def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarray):
     """Maximize loglik + log prior over the latent vector.
 
-    Returns (mode, hessian, curvature weights, objective). The objective must
-    strictly increase on every accepted step (halving line search).
-    """
+    Returns (mode, hessian, objective).  The objective must strictly increase
+    on every accepted step (halving line search)."""
     u = u0.copy()
     f_val, prior_grad = ctx.log_post(u, prior, offsets)
     if not np.isfinite(f_val):
@@ -341,8 +328,7 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarr
             raise FitError(
                 f"Newton did not converge in {_MAX_NEWTON_ITER} iterations "
                 f"(|grad|_max = {np.max(np.abs(grad)):.3e})")
-    curvature = ctx.curvature(u, offsets)
-    return u, ctx.hessian(curvature, prior), curvature, f_val
+    return u, ctx.hessian(ctx.curvature(u, offsets), prior), f_val
 
 
 def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None) -> HyperNode | None:
@@ -363,13 +349,12 @@ def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None) -> H
     offsets = ctx.offsets(ctx.zeta_of(v))
     u0 = warm if warm is not None else np.zeros(ctx.n_field + ctx.n_coef)
     try:
-        mode, hess, curvature, f_val = _newton_mode(ctx, prior, offsets, u0)
+        mode, hess, f_val = _newton_mode(ctx, prior, offsets, u0)
     except (FitError, NotSpdError):
         return None
     lm = f_val + 0.5 * logdet_q - 0.5 * hess.logdet() + ctx.hyper_log_prior(v)
     return HyperNode(hyper=np.array(v, dtype=float), laplace_log_marginal=lm,
-                     weight=0.0, mode=mode, curvature_weights=curvature,
-                     beta_cov=hess.coef_cov())
+                     weight=0.0, mode=mode, beta_cov=hess.coef_cov())
 
 
 # ---------------------------------------------------------------------------
@@ -629,8 +614,7 @@ class FitResult:
             if cnt == 0:
                 continue
             node = self.nodes[k]
-            hess = ctx.hessian(node.curvature_weights, ctx.prior_at(node.hyper))
-            blocks.append(node.mode[:, None] + hess.sample(rng, cnt))
+            blocks.append(node.mode[:, None] + ctx.hessian_at(node.hyper, node.mode).sample(rng, cnt))
             node_idx.extend([k] * cnt)
         u = np.hstack(blocks)
         order = rng.permutation(size)
@@ -647,8 +631,6 @@ class FitResult:
 
     def save(self, directory) -> None:
         """Write the JSON summary plus the node arrays needed to rebuild."""
-        import os
-
         os.makedirs(directory, exist_ok=True)
         doc = {
             "model": "vse" if self.spec.use_vse else "naive",
@@ -666,15 +648,14 @@ class FitResult:
             log_marginal=np.array([n.laplace_log_marginal for n in self.nodes]),
             weight=np.array([n.weight for n in self.nodes]),
             mode=np.array([n.mode for n in self.nodes]),
-            curvature=np.array([n.curvature_weights for n in self.nodes]),
+            grid_shape=np.array([self._ctx.grid.ny, self._ctx.grid.nx]),
         )
 
     @classmethod
     def load(cls, directory, pattern, covariates, roads, spec: ModelSpec) -> "FitResult":
         """Rebuild a saved fit; data and spec must match the original run.
-        An older file's ``zeta`` array is ignored: the thinning rate follows from ``hyper``."""
-        import os
-
+        An older file's ``zeta`` array is ignored, and so is its ``curvature``
+        array once its width is checked in place of ``grid_shape``."""
         ctx = _ModelContext(pattern, covariates, roads, spec)
         data = np.load(os.path.join(directory, "fit_nodes.npz"))
         if "hyper" not in data.files:
@@ -682,7 +663,14 @@ class FitResult:
                              "older format; fit the model again")
         # a fit saved with another padding or grid would otherwise
         # load and fail later, as a broadcast error in predict_intensity
-        for key, want in (("mode", ctx.n_field + ctx.n_coef), ("curvature", ctx.n_cells)):
+        shape = [ctx.grid.ny, ctx.grid.nx]
+        widths = [("mode", ctx.n_field + ctx.n_coef)]
+        if "grid_shape" not in data.files:
+            widths.append(("curvature", len(ctx.scheme)))
+        elif data["grid_shape"].tolist() != shape:
+            raise ValueError(f"fit_nodes.npz 'grid_shape' is {data['grid_shape'].tolist()} but this "
+                             f"data gives {shape}: the fit was saved on another grid; fit the model again")
+        for key, want in widths:
             have = data[key].shape[1]
             if have != want:
                 raise ValueError(
@@ -691,12 +679,11 @@ class FitResult:
                     "padding or grid; fit the model again")
         nodes = []
         for k in range(data["weight"].size):
-            hyper, curvature = data["hyper"][k], data["curvature"][k]
+            hyper, mode = data["hyper"][k], data["mode"][k]
             nodes.append(HyperNode(
                 hyper=hyper, laplace_log_marginal=float(data["log_marginal"][k]),
-                weight=float(data["weight"][k]), mode=data["mode"][k],
-                curvature_weights=curvature,
-                beta_cov=ctx.hessian(curvature, ctx.prior_at(hyper)).coef_cov()))
+                weight=float(data["weight"][k]), mode=mode,
+                beta_cov=ctx.hessian_at(hyper, mode).coef_cov()))
         return cls(spec, nodes, ctx, {"loaded": True})
 
 

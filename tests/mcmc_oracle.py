@@ -90,7 +90,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     pre = _laplace_at(ctx, v0, None)
     if pre is None:
         raise FitError("could not build the MALA preconditioner")
-    mass0 = ctx.hessian(pre.curvature_weights, ctx.prior_at(v0))
+    mass0 = ctx.hessian_at(pre.hyper, pre.mode)
     mode0 = pre.mode
 
     cfg = chain_config
@@ -186,7 +186,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             if it == cfg.n_burn // 2:
                 refreshed = _laplace_at(ctx, v, u)
                 if refreshed is not None:
-                    mass = ctx.hessian(refreshed.curvature_weights, prior)
+                    mass = ctx.hessian_at(refreshed.hyper, refreshed.mode)
 
             if it >= cfg.n_burn:
                 k = it - cfg.n_burn

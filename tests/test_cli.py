@@ -321,6 +321,19 @@ class TestConfigFile:
             doc = json.loads((tmp_path / name / "explore.json").read_text())
             assert set(doc["covariate_distance_correlation"]) == want
 
+    @pytest.mark.parametrize("text, key, want", [
+        ('roads = "road#1.geojson"\n', "roads", "road#1.geojson"),
+        ('points = "a, b.csv"\n', "points", "a, b.csv"),
+    ], ids=["hash", "comma"])
+    def test_quoted_value_is_one_value_verbatim(self, tmp_path, text, key, want):
+        # quotes keep a '#' from starting a comment and a ',' from making a list
+        cfg = tmp_path / "quoted.cfg"
+        cfg.write_text(text)
+        assert read_config(cfg) == {key: want}
+        args = _parse_args(build_parser(), ["predict", "--fit", "f", "--config", str(cfg),
+                                            "--out", "o"])
+        assert getattr(args, key) == want
+
     def test_values_take_their_option_type(self, tmp_path):
         # as the same values given as flags would: a number-like path stays a string
         cfg = tmp_path / "types.cfg"

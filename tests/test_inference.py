@@ -86,6 +86,47 @@ class TestGradient:
             fd = (objective(u + e) - objective(u - e)) / (2 * h)
             assert grad[c] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
+    def test_hessian_matches_finite_differences(self, unit_roads):
+        # each Hessian column is the central difference of the negated
+        # gradient: field nodes inside the domain and in its padding, and
+        # every coefficient
+        pattern, covs, _ = unit_square_data(seed=5, n=8)
+        spec = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
+        ctx = _ModelContext(pattern, covs, unit_roads, spec)
+        prior = ctx.prior_at([math.log(0.2), math.log(0.8)])
+        offsets = ctx.offsets(2.0)
+
+        def grad(u):
+            return ctx.loglik_grad(u, offsets) + ctx.log_post(u, prior, offsets)[1]
+
+        u = 0.3 * np.random.default_rng(23).standard_normal(ctx.n_field + ctx.n_coef)
+        hess = ctx.hessian(ctx.curvature(u, offsets), prior)
+        assert 0 not in ctx.node_field  # the first field node is padding
+        h = 1e-5
+        for c in (0, ctx.node_field[0], ctx.node_field[27], ctx.n_field, ctx.n_field + 1):
+            e = np.zeros(u.size)
+            e[c] = 1.0
+            fd = -(grad(u + h * e) - grad(u - h * e)) / (2 * h)
+            np.testing.assert_allclose(hess.matvec(e), fd, rtol=1e-6, atol=1e-7)
+
+
+class TestSites:
+    @pytest.mark.parametrize("use_vse", [False, True], ids=["naive", "vse"])
+    def test_point_at_cell_centre_matches_its_node(self, use_vse, unit_roads):
+        # nodes and points go through one lookup, so a point at a cell centre
+        # gets that cell's field node, design row and road distance
+        _, covs, grid = unit_square_data(seed=5, n=8)
+        cells = np.random.default_rng(29).permutation(grid.n_cells)
+        pattern = PointPattern(grid.cell_centers()[cells], grid.bbox)
+        spec = ModelSpec(covariate_names=("x1",), use_vse=use_vse, pc_prior=UNIT_PC)
+        ctx = _ModelContext(pattern, covs, unit_roads, spec)
+        assert np.array_equal(ctx.point_field, ctx.node_field[cells])
+        assert np.array_equal(ctx.x_points, ctx.x_nodes[cells])
+        if use_vse:
+            assert np.array_equal(ctx.dist_points, ctx.dist_nodes[cells])
+        else:
+            assert ctx.dist_points is None and ctx.dist_nodes is None
+
 
 class TestLikelihood:
     @pytest.mark.parametrize("use_vse", [False, True], ids=["naive", "vse"])
@@ -429,6 +470,29 @@ class TestFit:
         result.save(tmp_path)
         path = tmp_path / "fit_nodes.npz"
         data = dict(np.load(path))
+        data["grid_shape"] = np.array([12, 11])
+        np.savez_compressed(path, **data)
+        with pytest.raises(ValueError, match=r"'grid_shape' is \[12, 11\] .* gives \[12, 12\]"):
+            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+
+    def test_load_reads_curvature_layout(self, small_fit, naive_spec, tmp_path):
+        # files saved before each node's curvature was rebuilt from its mode
+        # hold a curvature array and no grid_shape: the array's width is
+        # checked against the cell count, and its values are not read
+        result, pattern, covs = small_fit
+        result.save(tmp_path)
+        path = tmp_path / "fit_nodes.npz"
+        data = dict(np.load(path))
+        del data["grid_shape"]
+        ctx = result._ctx
+        data["curvature"] = np.array([ctx.curvature(n.mode, ctx.offsets(ctx.zeta_of(n.hyper)))
+                                      for n in result.nodes])
+        np.savez_compressed(path, **data)
+        back = FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+        assert back.summaries == result.summaries
+        for got, want in zip(predict_intensity(back, draws=50, seed=3),
+                             predict_intensity(result, draws=50, seed=3)):
+            assert np.array_equal(got.values, want.values)
         data["curvature"] = data["curvature"][:, :-1]
         np.savez_compressed(path, **data)
         with pytest.raises(ValueError, match="'curvature' has 143 entries .* give 144"):
