@@ -49,10 +49,10 @@ class PointwiseLikelihoodTable:
         return self.log_lik.shape[1]
 
 
-def _require_samples(table: PointwiseLikelihoodTable) -> None:
-    if table.n_samples < MIN_SAMPLES:
+def _require_samples(n_samples: int) -> None:
+    if n_samples < MIN_SAMPLES:
         raise ValueError(f"need at least {MIN_SAMPLES} posterior samples, "
-                         f"got {table.n_samples}")
+                         f"got {n_samples}")
 
 
 def dic(table: PointwiseLikelihoodTable) -> tuple[float, float, float]:
@@ -62,7 +62,7 @@ def dic(table: PointwiseLikelihoodTable) -> tuple[float, float, float]:
     parameters, the gap between the posterior mean deviance and the deviance
     at the posterior mean predictor.
     """
-    _require_samples(table)
+    _require_samples(table.n_samples)
     deviances = -2.0 * table.log_lik.sum(axis=0)
     d_bar = float(deviances.mean())
     d_hat = -2.0 * float(table.log_lik_at_mean.sum())
@@ -80,7 +80,7 @@ def waic(table: PointwiseLikelihoodTable) -> tuple[float, float]:
     complexity.  Computed with log-sum-exp, so finite entries cannot
     overflow.  Returns (WAIC, p_waic) with p_waic the variance penalty.
     """
-    _require_samples(table)
+    _require_samples(table.n_samples)
     s = table.n_samples
     lppd = logsumexp(table.log_lik, axis=1) - np.log(s)
     penalty = table.log_lik.var(axis=1, ddof=1)
@@ -96,7 +96,7 @@ def lpml(table: PointwiseLikelihoodTable) -> tuple[float, np.ndarray, np.ndarray
     when the importance weights' effective sample size falls below
     ``MIN_ESS_FRACTION`` of the sample count.
     """
-    _require_samples(table)
+    _require_samples(table.n_samples)
     s = table.n_samples
     neg = -table.log_lik
     log_mean_inv = logsumexp(neg, axis=1) - np.log(s)
@@ -112,8 +112,10 @@ def pointwise_table(fit_result, n_samples: int = 200, seed=0) -> PointwiseLikeli
 
     Posterior draws of the linear predictor come from the fit's node mixture;
     VSE draws include the drawn node's access offset, so the table scores the
-    observed (thinned) process that the model was fitted to.
+    observed (thinned) process that the model was fitted to.  A count below
+    ``MIN_SAMPLES`` is rejected before any draw.
     """
+    _require_samples(n_samples)
     rng = np.random.default_rng(seed)
     ctx = fit_result._ctx
     u, node_idx = fit_result.sample_latent(rng, n_samples)

@@ -14,8 +14,10 @@ hyperparameter space the joint mode of (field, coefficients) is found by
 Newton iterations, a Gaussian approximation is formed there, and nodes are
 weighted by their Laplace-approximated marginal likelihood.  Each evaluation
 is one :class:`HyperNode`, whose Hessian is rebuilt from its mode; the fit
-keeps the grid nodes with positive weight.  Posterior marginals are Gaussian
-mixtures (coefficients) or interpolated grid marginals (hyperparameters).
+keeps the grid nodes with positive weight.  Each parameter has one posterior
+marginal, which gives its summaries, credible intervals and draws: a mixture
+of the nodes' Gaussians for a coefficient, a marginal interpolated over the
+grid for a hyperparameter.
 """
 
 from __future__ import annotations
@@ -465,18 +467,20 @@ def hyper_grid(log_marginal, start: np.ndarray,
 # ---------------------------------------------------------------------------
 
 class _GridMarginal:
-    """1-D posterior marginal of a hyperparameter from its grid weights.
+    """1-D posterior marginal of a hyperparameter from the grid nodes' values
+    along its axis and their weights.
 
-    The log weight profile over the (few) axis values is interpolated with a
-    cubic spline on a fine grid, exponentiated, and normalized; summaries and
-    inverse-CDF draws come from the resulting discrete distribution.
+    Nodes that share an axis value are pooled, the log weight profile over
+    the (few) axis values is interpolated with a cubic spline on a fine grid,
+    exponentiated, and normalized; summaries and inverse-CDF draws come from
+    the resulting discrete distribution.
     """
 
-    def __init__(self, axis_values: np.ndarray, axis_weights: np.ndarray,
+    def __init__(self, node_values: np.ndarray, node_weights: np.ndarray,
                  transform=np.exp):
-        order = np.argsort(axis_values)
-        x = axis_values[order]
-        w = np.maximum(axis_weights[order], 1e-300)
+        x = np.unique(np.round(node_values, 12))
+        w = np.array([node_weights[np.isclose(node_values, val)].sum() for val in x])
+        w = np.maximum(w, 1e-300)
         logw = np.log(w)
         logw = np.maximum(logw, logw.max() - 40.0)
         if x.size >= 3:
@@ -488,7 +492,6 @@ class _GridMarginal:
             fine = x
             logp = logw
         p = np.exp(logp - logp.max())
-        self.x = fine
         self.p = p / p.sum()
         self.cdf = np.cumsum(self.p)
         self.values = transform(fine)
@@ -508,14 +511,37 @@ class _GridMarginal:
         return self.quantile(rng.uniform(size=size))
 
 
-def _mixture_quantile(q: float, means, sds, weights) -> float:
-    lo = float(np.min(means - 8 * sds))
-    hi = float(np.max(means + 8 * sds))
+class _MixtureMarginal:
+    """1-D posterior marginal of a coefficient: the nodes' Gaussians, with
+    means ``means`` and sds ``sds``, mixed by the node weights.  Quantiles
+    invert the mixture CDF by root finding, with each sd floored at 1e-12 so
+    that the CDF is defined; draws use the sds as given."""
 
-    def cdf(x):
-        return float(weights @ norm.cdf((x - means) / sds)) - q
+    def __init__(self, weights: np.ndarray, means: np.ndarray, sds: np.ndarray):
+        self.weights, self.means, self.sds = weights, means, sds
 
-    return brentq(cdf, lo, hi, xtol=1e-10)
+    def mean(self) -> float:
+        return float(self.weights @ self.means)
+
+    def sd(self) -> float:
+        m = self.mean()
+        var = float(self.weights @ (self.sds ** 2 + self.means ** 2)) - m * m
+        return math.sqrt(max(var, 0.0))
+
+    def quantile(self, q) -> np.ndarray:
+        sds = np.maximum(self.sds, 1e-12)
+        lo = float(np.min(self.means - 8 * sds))
+        hi = float(np.max(self.means + 8 * sds))
+
+        def cdf_minus(x, p):
+            return float(self.weights @ norm.cdf((x - self.means) / sds)) - p
+
+        return np.array([brentq(cdf_minus, lo, hi, args=(p,), xtol=1e-10)
+                         for p in np.atleast_1d(q)])
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        ks = rng.choice(self.weights.size, size=size, p=self.weights)
+        return self.means[ks] + self.sds[ks] * rng.standard_normal(size)
 
 
 # ---------------------------------------------------------------------------
@@ -536,42 +562,21 @@ class FitResult:
             {"log_rho": "rho", "log_sigma": "sigma", "theta": "zeta"}[h]
             for h in spec.hyper_names()]
         self._weights = np.array([n.weight for n in nodes])
-        self._beta_means = np.array([n.beta_mean for n in nodes])                 # (m, p)
-        self._beta_sds = np.array([np.sqrt(np.diag(n.beta_cov)) for n in nodes])  # (m, p)
-        self._hyper_marginals = self._build_hyper_marginals()
-        self.summaries = self._build_summaries()
-        self.scores: dict | None = None
-
-    # -- construction helpers ----------------------------------------------
-
-    def _build_hyper_marginals(self) -> dict[str, _GridMarginal]:
-        out = {}
-        mat = np.array([n.hyper for n in self.nodes])  # (m, d)
-        for k, name in enumerate(self.hyper_param_names):
-            axis = mat[:, k]
-            uniq = np.unique(np.round(axis, 12))
-            w = np.array([self._weights[np.isclose(axis, val)].sum() for val in uniq])
-            out[name] = _GridMarginal(uniq, w)
-        return out
-
-    def _build_summaries(self) -> dict[str, dict[str, float]]:
-        summaries = {}
-        weights, means, sds = self._weights, self._beta_means, self._beta_sds
-        for j, name in enumerate(self.param_names):
-            m = float(weights @ means[:, j])
-            var = float(weights @ (sds[:, j] ** 2 + means[:, j] ** 2)) - m * m
-            sd = math.sqrt(max(var, 0.0))
-            qs = [
-                _mixture_quantile(q, means[:, j], np.maximum(sds[:, j], 1e-12), weights)
-                for q in (0.025, 0.5, 0.975)]
-            summaries[name] = {"mean": m, "sd": sd,
-                               "q025": qs[0], "q50": qs[1], "q975": qs[2]}
-        for name, marg in self._hyper_marginals.items():
+        # each marginal reads a column view, not a copy: a dot product's
+        # rounding can depend on its operands' strides
+        means = np.array([n.beta_mean for n in nodes])
+        sds = np.array([np.sqrt(np.diag(n.beta_cov)) for n in nodes])
+        hyper = np.array([n.hyper for n in nodes])
+        self._marginals = {name: _MixtureMarginal(self._weights, means[:, j], sds[:, j])
+                           for j, name in enumerate(self.param_names)}
+        self._marginals.update((name, _GridMarginal(hyper[:, k], self._weights))
+                               for k, name in enumerate(self.hyper_param_names))
+        self.summaries = {}
+        for name, marg in self._marginals.items():
             q = marg.quantile([0.025, 0.5, 0.975])
-            summaries[name] = {"mean": marg.mean(), "sd": marg.sd(),
-                               "q025": float(q[0]), "q50": float(q[1]),
-                               "q975": float(q[2])}
-        return summaries
+            self.summaries[name] = {"mean": marg.mean(), "sd": marg.sd(), "q025": float(q[0]),
+                                    "q50": float(q[1]), "q975": float(q[2])}
+        self.scores: dict | None = None
 
     # -- posterior access ----------------------------------------------------
 
@@ -579,26 +584,16 @@ class FitResult:
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {level}")
         s = self.summaries[name]
+        # the summaries' own quantiles: (1 - 0.95) / 2 is 0.025000000000000022,
+        # not the 0.025 that q025 was computed at
         if abs(level - 0.95) < 1e-12:
             return (s["q025"], s["q975"])
-        lo, hi = (1 - level) / 2, 1 - (1 - level) / 2
-        if name in self._hyper_marginals:
-            marg = self._hyper_marginals[name]
-            q = marg.quantile([lo, hi])
-            return (float(q[0]), float(q[1]))
-        j = self.param_names.index(name)
-        means = self._beta_means[:, j]
-        sds = np.maximum(self._beta_sds[:, j], 1e-12)
-        return (_mixture_quantile(lo, means, sds, self._weights),
-                _mixture_quantile(hi, means, sds, self._weights))
+        q = self._marginals[name].quantile([(1 - level) / 2, 1 - (1 - level) / 2])
+        return (float(q[0]), float(q[1]))
 
     def draw_parameter(self, name: str, rng: np.random.Generator, size: int) -> np.ndarray:
         """Posterior draws of one scalar parameter (coefficient or hyper)."""
-        if name in self._hyper_marginals:
-            return self._hyper_marginals[name].draw(rng, size)
-        j = self.param_names.index(name)
-        ks = rng.choice(len(self.nodes), size=size, p=self._weights)
-        return self._beta_means[ks, j] + self._beta_sds[ks, j] * rng.standard_normal(size)
+        return self._marginals[name].draw(rng, size)
 
     def sample_latent(self, rng: np.random.Generator, size: int):
         """Joint draws of (field, coefficients) from the node mixture.

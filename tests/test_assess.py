@@ -155,3 +155,22 @@ class TestPointwiseTable:
         t1 = pointwise_table(result, n_samples=120, seed=42)
         t2 = pointwise_table(result, n_samples=120, seed=42)
         np.testing.assert_array_equal(t1.log_lik, t2.log_lik)
+
+    def test_too_few_samples_rejected_before_drawing(self, monkeypatch):
+        from tests.test_inference import UNIT_PC, unit_square_data
+        from lgcpthin.inference import ModelSpec, _ModelContext, fit
+
+        pattern, covs, _ = unit_square_data(seed=5, n=8)
+        result = fit(pattern, covs, None, ModelSpec(covariate_names=("x1",), pc_prior=UNIT_PC))
+        calls = []
+        hessian_at = _ModelContext.hessian_at
+
+        def spy(self, v, u):
+            calls.append(v)
+            return hessian_at(self, v, u)
+
+        monkeypatch.setattr(_ModelContext, "hessian_at", spy)
+        for n_samples in (50, 0):
+            with pytest.raises(ValueError, match="need at least 100 posterior samples"):
+                assess.score(result, n_samples=n_samples)
+        assert calls == []

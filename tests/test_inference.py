@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import norm
 
 from lgcpthin import inference
-from lgcpthin.cholesky import BorderedPrecision
+from lgcpthin.cholesky import BorderedPrecision, _one_blas_thread
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork
 from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
 from lgcpthin.inference import (
@@ -535,6 +536,84 @@ class TestFit:
         spec = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
         with pytest.raises(ValueError):
             fit(pattern, covs, None, spec)
+
+
+@pytest.fixture(scope="module")
+def small_vse_fit(unit_roads):
+    pattern, covs, _ = unit_square_data(seed=5, n=8)
+    spec = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
+    return fit(pattern, covs, unit_roads, spec)
+
+
+class TestPosteriorAccess:
+    """credible_interval and draw_parameter on every parameter of a VSE fit:
+    coefficients from the node mixture, hyperparameters from grid marginals."""
+
+    LEVELS = (0.5, 0.8, 0.9, 0.95, 0.99)
+
+    def test_intervals_nest_around_median(self, small_vse_fit):
+        result = small_vse_fit
+        assert list(result.summaries) == result.param_names + result.hyper_param_names
+        for name, s in result.summaries.items():
+            bounds = [result.credible_interval(name, level) for level in self.LEVELS]
+            los, his = [b[0] for b in bounds], [b[1] for b in bounds]
+            assert los == sorted(los, reverse=True) and his == sorted(his), name
+            assert los[0] <= s["q50"] <= his[0], name
+            assert bounds[3] == (s["q025"], s["q975"]), name
+
+    def test_coefficient_interval_inverts_mixture_cdf(self, small_vse_fit):
+        result = small_vse_fit
+        weights = np.array([n.weight for n in result.nodes])
+        for j, name in enumerate(result.param_names):
+            means = np.array([n.beta_mean[j] for n in result.nodes])
+            sds = np.array([math.sqrt(n.beta_cov[j, j]) for n in result.nodes])
+            for level in self.LEVELS:
+                lo, hi = result.credible_interval(name, level)
+                assert lo < hi
+                assert float(weights @ norm.cdf((lo - means) / sds)) == pytest.approx(
+                    (1 - level) / 2, abs=1e-8), (name, level)
+                assert float(weights @ norm.cdf((hi - means) / sds)) == pytest.approx(
+                    (1 + level) / 2, abs=1e-8), (name, level)
+
+    def test_coefficient_draws_match_summaries(self, small_vse_fit):
+        result, size = small_vse_fit, 20_000
+        for name in result.param_names:
+            s = result.summaries[name]
+            draws = result.draw_parameter(name, np.random.default_rng(21), size)
+            assert draws.mean() == pytest.approx(s["mean"], abs=5 * s["sd"] / math.sqrt(size))
+            assert draws.std() == pytest.approx(s["sd"], rel=0.03)
+
+    def test_hyper_draws_lie_in_support(self, small_vse_fit):
+        result = small_vse_fit
+        for name in result.hyper_param_names:
+            s = result.summaries[name]
+            values = result._marginals[name].values
+            draws = result.draw_parameter(name, np.random.default_rng(22), 20_000)
+            assert np.all(np.isin(draws, values)), name
+            assert abs(np.median(draws) - s["q50"]) < 0.02 * (s["q975"] - s["q025"]), name
+
+    def test_draws_reproducible_from_seed(self, small_vse_fit):
+        result = small_vse_fit
+        for name in result.summaries:
+            first = result.draw_parameter(name, np.random.default_rng(23), 500)
+            assert np.array_equal(first, result.draw_parameter(name, np.random.default_rng(23), 500))
+
+    def test_marginals_equal_on_one_blas_thread(self, small_vse_fit):
+        # summaries, intervals and draws come from dot products that run on
+        # the caller's BLAS threads, not under the one-thread pin
+        result = small_vse_fit
+
+        def rebuild():
+            again = FitResult(result.spec, result.nodes, result._ctx, {})
+            return (again.summaries,
+                    [again.credible_interval(name, 0.9) for name in again.summaries],
+                    [again.draw_parameter(name, np.random.default_rng(24), 200).tolist()
+                     for name in again.summaries])
+
+        with _one_blas_thread:
+            pinned = rebuild()
+        assert rebuild() == pinned
+        assert pinned[0] == result.summaries
 
 
 class TestSpecValidation:
