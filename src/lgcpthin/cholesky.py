@@ -11,10 +11,13 @@ small dense border, eliminated by Schur complement.
 A band passed to ``BandedCholesky`` (directly or as a ``BorderedPrecision``
 field block) belongs to the factor from then on: a Fortran-ordered
 (column-major) band is factored in place and holds the factor afterwards,
-while a C-ordered one is copied by the LAPACK wrapper.  Nobody keeps a band:
-``GmrfPrecision.banded`` assembles a new column-major one on each call, for
-each Newton Hessian and for the factor that a field draw holds beside its
-transpose ``L^T``.
+while a C-ordered one is copied by the LAPACK wrapper.  Nobody keeps a band
+but a factor: ``GmrfPrecision.banded`` assembles a new column-major one on
+each call, for each fresh Newton Hessian and for the factor that a field
+draw holds beside its transpose ``L^T``.  ``inference.fit`` keeps one factor,
+the last successful hyper evaluation's Hessian at its mode; the next
+evaluation's first Newton steps solve with it while each cuts max|grad| by
+the fixed ratio ``inference._CHORD_RATIO``.
 
 ``BandedCholesky`` makes four band calls: ``cholesky_banded`` (``pbtrf``) to
 factor, ``cho_solve_banded`` to solve, ``dtbtrs`` to solve ``L^T x = z`` for

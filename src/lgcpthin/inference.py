@@ -14,10 +14,14 @@ hyperparameter space the joint mode of (field, coefficients) is found by
 Newton iterations, a Gaussian approximation is formed there, and nodes are
 weighted by their Laplace-approximated marginal likelihood.  Each evaluation
 is one :class:`HyperNode`, whose Hessian is rebuilt from its mode; the fit
-keeps the grid nodes with positive weight.  Each parameter has one posterior
-marginal, which gives its summaries, credible intervals and draws: a mixture
-of the nodes' Gaussians for a coefficient, a marginal interpolated over the
-grid for a hyperparameter.
+keeps the grid nodes with positive weight.  Newton at each hyper vector
+starts at the last successful evaluation's mode, and ``fit`` keeps that
+evaluation's Hessian factor: the first steps solve with it (chord steps)
+while each cuts max|grad| by the fixed ratio ``_CHORD_RATIO``, and every
+later step, and the log-determinant at the mode, factors a fresh Hessian.
+Each parameter has one posterior marginal, which gives its summaries,
+credible intervals and draws: a mixture of the nodes' Gaussians for a
+coefficient, a marginal interpolated over the grid for a hyperparameter.
 """
 
 from __future__ import annotations
@@ -125,6 +129,7 @@ class HyperNode:
 # more padding only costs factorization time.
 _EXTENSION_FACTOR = 1.0
 _NEWTON_TOL = 1e-6  # Newton stops once max |gradient| falls below this
+_CHORD_RATIO = 0.1  # a chord step must cut max |gradient| to this fraction of it
 _MAX_NEWTON_ITER = 50
 _SPAN_SD = 2.5           # the hyper grid spans +- this many posterior sds per dimension
 _MAX_EVALS = 200         # Nelder-Mead evaluation budget of the hyper mode search
@@ -236,7 +241,8 @@ class _ModelContext:
         omega, beta = u[: self.n_field], u[self.n_field:]
         prec_b = self.spec.beta_precision
         q_omega = prior.matvec(omega)
-        val = -0.5 * prec_b * float(beta @ beta) - 0.5 * float(omega @ q_omega)
+        with np.errstate(over="ignore"):  # an overshooting trial point; the line search rejects it
+            val = -0.5 * prec_b * float(beta @ beta) - 0.5 * float(omega @ q_omega)
         return self.loglik(u, offsets) + val, np.concatenate([-q_omega, -prec_b * beta])
 
     def curvature(self, u: np.ndarray, offsets) -> np.ndarray:
@@ -294,38 +300,50 @@ class _ModelContext:
 # Inner Newton optimization and Laplace marginal
 # ---------------------------------------------------------------------------
 
-def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarray):
+def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarray,
+                 chord: BorderedPrecision | None = None):
     """Maximize loglik + log prior over the latent vector.
 
-    Returns (mode, hessian, objective).  The objective must strictly increase
-    on every accepted step (halving line search)."""
+    Returns (mode, hessian, objective), the Hessian factored fresh at the
+    mode.  The objective must strictly increase on every accepted step
+    (halving line search).  ``chord`` is a Hessian factor from elsewhere,
+    the previous hyper evaluation's at its mode: the first steps solve with
+    it (chord steps) while each cuts max|grad| to at most ``_CHORD_RATIO``
+    of its value.  The first that does not, or whose line search fails,
+    drops it for good; a failed one is retried from the same point with a
+    fresh Hessian, as every later step is."""
     u = u0.copy()
     f_val, prior_grad = ctx.log_post(u, prior, offsets)
     if not np.isfinite(f_val):
         u = np.zeros_like(u0)
         f_val, prior_grad = ctx.log_post(u, prior, offsets)
+    grad = ctx.loglik_grad(u, offsets) + prior_grad
     for _ in range(_MAX_NEWTON_ITER):
-        grad = ctx.loglik_grad(u, offsets) + prior_grad
-        if np.max(np.abs(grad)) < _NEWTON_TOL:
+        grad_max = np.max(np.abs(grad))
+        if grad_max < _NEWTON_TOL:
             break
-        # unbound, so this step's Hessian is freed before the next is built
-        step = ctx.hessian(ctx.curvature(u, offsets), prior).solve(grad)
-        accepted = False
+        # a fresh Hessian is left unbound, so it is freed before the next is built
+        step = (chord if chord is not None
+                else ctx.hessian(ctx.curvature(u, offsets), prior)).solve(grad)
         t = 1.0
         for _ in range(30):
             u_new = u + t * step
             f_new, prior_grad_new = ctx.log_post(u_new, prior, offsets)
             if np.isfinite(f_new) and f_new > f_val:
-                u, f_val, prior_grad = u_new, f_new, prior_grad_new
-                accepted = True
                 break
             t *= 0.5
-        if not accepted:  # u and prior_grad, so grad too, are as at the loop's top
-            if np.max(np.abs(grad)) < 1e-3:
+        else:  # u and prior_grad, so grad too, are as at the loop's top
+            if chord is not None:  # retry the step from u with a fresh Hessian
+                chord = None
+                continue
+            if grad_max < 1e-3:
                 break  # at numerical optimum; gradient already negligible
             raise FitError("Newton line search failed to increase the objective")
-    else:
+        u, f_val, prior_grad = u_new, f_new, prior_grad_new
         grad = ctx.loglik_grad(u, offsets) + prior_grad
+        if chord is not None and np.max(np.abs(grad)) > _CHORD_RATIO * grad_max:
+            chord = None
+    else:
         if np.max(np.abs(grad)) >= _NEWTON_TOL * 100:
             raise FitError(
                 f"Newton did not converge in {_MAX_NEWTON_ITER} iterations "
@@ -333,8 +351,12 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarr
     return u, ctx.hessian(ctx.curvature(u, offsets), prior), f_val
 
 
-def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None) -> HyperNode | None:
-    """The Laplace evaluation at hyper vector v (weight 0), or None where it fails.
+def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None,
+                chord: BorderedPrecision | None = None
+                ) -> tuple[HyperNode, BorderedPrecision] | None:
+    """The Laplace evaluation at hyper vector v (weight 0) and the Hessian
+    factor at its mode, or None where it fails.  Newton starts at ``warm``
+    and takes its first steps with ``chord``, as :func:`_newton_mode` says.
 
     Marginal = penalized objective at the mode + 1/2 log det Q_prior
     - 1/2 log det H + hyper prior; the 2 pi factors cancel exactly.
@@ -351,12 +373,12 @@ def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None) -> H
     offsets = ctx.offsets(ctx.zeta_of(v))
     u0 = warm if warm is not None else np.zeros(ctx.n_field + ctx.n_coef)
     try:
-        mode, hess, f_val = _newton_mode(ctx, prior, offsets, u0)
+        mode, hess, f_val = _newton_mode(ctx, prior, offsets, u0, chord)
     except (FitError, NotSpdError):
         return None
     lm = f_val + 0.5 * logdet_q - 0.5 * hess.logdet() + ctx.hyper_log_prior(v)
     return HyperNode(hyper=np.array(v, dtype=float), laplace_log_marginal=lm,
-                     weight=0.0, mode=mode, beta_cov=hess.coef_cov())
+                     weight=0.0, mode=mode, beta_cov=hess.coef_cov()), hess
 
 
 # ---------------------------------------------------------------------------
@@ -581,6 +603,11 @@ class FitResult:
     # -- posterior access ----------------------------------------------------
 
     def credible_interval(self, name: str, level: float = 0.95) -> tuple[float, float]:
+        """Equal-tailed interval of one parameter at ``level``.
+
+        A hyperparameter's marginal ends half a grid step beyond the
+        outermost grid node, without the mass beyond, so above about 0.99 a
+        level can return the edge of that support."""
         if not 0.0 < level < 1.0:
             raise ValueError(f"level must be in (0, 1), got {level}")
         s = self.summaries[name]
@@ -700,7 +727,9 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     # Newton steps over a start at zero
     u0 = np.zeros(ctx.n_field + ctx.n_coef)
     u0[ctx.n_field] = math.log(ctx.n_points / ctx.scheme.domain_area)
-    warm = {"u": u0}
+    # each evaluation starts at the last successful one's mode, with the
+    # Hessian factor there for its chord steps
+    warm = {"u": u0, "hess": None}
 
     # every hyper vector the search asks for, evaluated once: None where it
     # is out of bounds or the Laplace step fails
@@ -711,8 +740,10 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
         key = _node_key(v)
         if key not in evaluated:
             in_box = not (np.any(v < lo) or np.any(v > hi))
-            evaluated[key] = _laplace_at(ctx, v, warm["u"]) if in_box else None
-            if evaluated[key] is not None:
+            laplace = _laplace_at(ctx, v, warm["u"], warm["hess"]) if in_box else None
+            evaluated[key] = None
+            if laplace is not None:
+                evaluated[key], warm["hess"] = laplace
                 warm["u"] = evaluated[key].mode
         node = evaluated[key]
         return -np.inf if node is None else node.laplace_log_marginal

@@ -90,8 +90,8 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     pre = _laplace_at(ctx, v0, None)
     if pre is None:
         raise FitError("could not build the MALA preconditioner")
-    mass0 = ctx.hessian_at(pre.hyper, pre.mode)
-    mode0 = pre.mode
+    node0, mass0 = pre
+    mode0 = node0.mode
 
     cfg = chain_config
     n_keep = cfg.n_iter - cfg.n_burn
@@ -186,7 +186,7 @@ def mcmc_fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
             if it == cfg.n_burn // 2:
                 refreshed = _laplace_at(ctx, v, u)
                 if refreshed is not None:
-                    mass = ctx.hessian_at(refreshed.hyper, refreshed.mode)
+                    _, mass = refreshed
 
             if it >= cfg.n_burn:
                 k = it - cfg.n_burn
