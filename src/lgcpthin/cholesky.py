@@ -15,9 +15,10 @@ while a C-ordered one is copied by the LAPACK wrapper.  Nobody keeps a band
 but a factor: ``GmrfPrecision.banded`` assembles a new column-major one on
 each call, for each fresh Newton Hessian and for the factor that a field
 draw holds beside its transpose ``L^T``.  ``inference.fit`` keeps one factor,
-the last successful hyper evaluation's Hessian at its mode; the next
-evaluation's first Newton steps solve with it while each cuts max|grad| by
-the fixed ratio ``inference._CHORD_RATIO``.
+the last successful hyper evaluation's Hessian at its mode, and Newton holds
+one: the kept one at first, then its newest fresh one.  Every Newton step
+solves with the held factor until a step cuts max|grad| by less than the
+fixed ratio ``inference._CHORD_RATIO``; only then is a fresh one factored.
 
 ``BandedCholesky`` makes four band calls: ``cholesky_banded`` (``pbtrf``) to
 factor, ``cho_solve_banded`` to solve, ``dtbtrs`` to solve ``L^T x = z`` for

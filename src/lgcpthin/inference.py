@@ -15,10 +15,15 @@ Newton iterations, a Gaussian approximation is formed there, and nodes are
 weighted by their Laplace-approximated marginal likelihood.  Each evaluation
 is one :class:`HyperNode`, whose Hessian is rebuilt from its mode; the fit
 keeps the grid nodes with positive weight.  Newton at each hyper vector
-starts at the last successful evaluation's mode, and ``fit`` keeps that
-evaluation's Hessian factor: the first steps solve with it (chord steps)
-while each cuts max|grad| by the fixed ratio ``_CHORD_RATIO``, and every
-later step, and the log-determinant at the mode, factors a fresh Hessian.
+starts at the last successful evaluation's mode and holds one Hessian
+factor: at first that evaluation's, which ``fit`` keeps, and afterwards the
+newest one factored fresh.  Every step solves with the held factor, which
+is dropped after any step that does not cut max|grad| by the fixed ratio
+``_CHORD_RATIO``; a fresh Hessian is factored only when none is held, and
+at the mode for the log-determinant.  Once a step can gain no more than the
+objective's rounding (its squared Newton decrement is at most
+``_RESOLUTION_ULPS`` ulps of the objective), its line search takes the full
+step unless the objective falls by more than that.
 Each parameter has one posterior marginal, which gives its summaries,
 credible intervals and draws: a mixture of the nodes' Gaussians for a
 coefficient, a marginal interpolated over the grid for a hyperparameter.
@@ -129,7 +134,8 @@ class HyperNode:
 # more padding only costs factorization time.
 _EXTENSION_FACTOR = 1.0
 _NEWTON_TOL = 1e-6  # Newton stops once max |gradient| falls below this
-_CHORD_RATIO = 0.1  # a chord step must cut max |gradient| to this fraction of it
+_CHORD_RATIO = 0.1  # a held factor's step must cut max |gradient| to this fraction of it
+_RESOLUTION_ULPS = 8  # the Newton objective's resolution, in ulps of its value
 _MAX_NEWTON_ITER = 50
 _SPAN_SD = 2.5           # the hyper grid spans +- this many posterior sds per dimension
 _MAX_EVALS = 200         # Nelder-Mead evaluation budget of the hyper mode search
@@ -305,49 +311,63 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarr
     """Maximize loglik + log prior over the latent vector.
 
     Returns (mode, hessian, objective), the Hessian factored fresh at the
-    mode.  The objective must strictly increase on every accepted step
-    (halving line search).  ``chord`` is a Hessian factor from elsewhere,
-    the previous hyper evaluation's at its mode: the first steps solve with
-    it (chord steps) while each cuts max|grad| to at most ``_CHORD_RATIO``
-    of its value.  The first that does not, or whose line search fails,
-    drops it for good; a failed one is retried from the same point with a
-    fresh Hessian, as every later step is."""
+    mode.  Newton holds one Hessian factor and solves every step with it:
+    at first ``chord``, a factor from elsewhere (the previous hyper
+    evaluation's at its mode), and once that is dropped the newest fresh
+    one, factored at the current point only when none is held.  A factor is
+    dropped after any accepted step that does not cut max|grad| to
+    ``_CHORD_RATIO`` of its value; a step on a factor from another point
+    whose line search fails drops it and is retried from the same point
+    with a fresh Hessian.  The halving line search takes a step where the
+    objective strictly increases, or, at its full length, where the
+    squared Newton decrement ``grad @ step`` is at or below the objective's
+    resolution (``_RESOLUTION_ULPS`` ulps of it) and the objective falls by
+    no more than that: such a step can gain only rounding."""
     u = u0.copy()
     f_val, prior_grad = ctx.log_post(u, prior, offsets)
     if not np.isfinite(f_val):
         u = np.zeros_like(u0)
         f_val, prior_grad = ctx.log_post(u, prior, offsets)
     grad = ctx.loglik_grad(u, offsets) + prior_grad
+    held = chord  # the factor every step solves with
     for _ in range(_MAX_NEWTON_ITER):
         grad_max = np.max(np.abs(grad))
         if grad_max < _NEWTON_TOL:
             break
-        # a fresh Hessian is left unbound, so it is freed before the next is built
-        step = (chord if chord is not None
-                else ctx.hessian(ctx.curvature(u, offsets), prior)).solve(grad)
+        fresh = held is None  # a factor made at u, not at another point
+        if fresh:
+            held = ctx.hessian(ctx.curvature(u, offsets), prior)
+        step = held.solve(grad)
+        # a step that can gain only rounding (end game) may, at full
+        # length, lose as much as the objective's resolution
+        with np.errstate(over="ignore", invalid="ignore"):  # a runaway step is no end game
+            decrement = grad @ step
+        resolution = _RESOLUTION_ULPS * np.spacing(abs(f_val))
+        floor = f_val - resolution if decrement <= resolution else np.inf
         t = 1.0
         for _ in range(30):
             u_new = u + t * step
             f_new, prior_grad_new = ctx.log_post(u_new, prior, offsets)
-            if np.isfinite(f_new) and f_new > f_val:
+            if np.isfinite(f_new) and (f_new > f_val or t == 1.0 and f_new >= floor):
                 break
             t *= 0.5
         else:  # u and prior_grad, so grad too, are as at the loop's top
-            if chord is not None:  # retry the step from u with a fresh Hessian
-                chord = None
+            if not fresh:  # retry the step from u with a fresh Hessian
+                held = None
                 continue
             if grad_max < 1e-3:
                 break  # at numerical optimum; gradient already negligible
             raise FitError("Newton line search failed to increase the objective")
         u, f_val, prior_grad = u_new, f_new, prior_grad_new
         grad = ctx.loglik_grad(u, offsets) + prior_grad
-        if chord is not None and np.max(np.abs(grad)) > _CHORD_RATIO * grad_max:
-            chord = None
+        if np.max(np.abs(grad)) > _CHORD_RATIO * grad_max:
+            held = None
     else:
         if np.max(np.abs(grad)) >= _NEWTON_TOL * 100:
             raise FitError(
                 f"Newton did not converge in {_MAX_NEWTON_ITER} iterations "
                 f"(|grad|_max = {np.max(np.abs(grad)):.3e})")
+    held = None  # freed before the mode's Hessian is built
     return u, ctx.hessian(ctx.curvature(u, offsets), prior), f_val
 
 

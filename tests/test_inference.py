@@ -249,10 +249,12 @@ def chord_ctx(unit_roads):
 
 
 class TestChordSteps:
-    """Newton's first steps at a hyper vector solve with another one's factor."""
+    """Newton solves with one held factor: at first another hyper vector's,
+    then its own newest, refreshed once a step cuts max|grad| too little."""
 
-    def _newton(self, ctx, v, u0, chord, monkeypatch):
-        """Newton's mode at v from u0, and the factorizations it made."""
+    def _newton(self, ctx, v, u0, chord, monkeypatch, pure=False):
+        """Newton's mode at v from u0, and the factorizations it made.  With
+        ``pure`` the oracle runs: pure Newton, a fresh Hessian at every step."""
         prior, offsets = ctx.prior_at(v), ctx.offsets(ctx.zeta_of(v))
         count = [0]
         init = BandedCholesky.__init__
@@ -262,6 +264,8 @@ class TestChordSteps:
             init(chol, ab)
 
         monkeypatch.setattr(BandedCholesky, "__init__", spy)
+        if pure:  # every accepted step then drops the factor it was solved with
+            monkeypatch.setattr(inference, "_CHORD_RATIO", 0.0)
         mode, _, _ = _newton_mode(ctx, prior, offsets, u0, chord)
         monkeypatch.undo()
         grad = ctx.loglik_grad(mode, offsets) + ctx.log_post(mode, prior, offsets)[1]
@@ -271,10 +275,19 @@ class TestChordSteps:
     def test_neighbour_factor_reaches_same_mode_with_fewer_factors(self, chord_ctx, monkeypatch):
         ctx, v0, (node, hess) = chord_ctx
         v = v0 + 0.1  # a neighbouring node, a small step along every axis
-        fresh, n_fresh = self._newton(ctx, v, node.mode, None, monkeypatch)
+        pure, n_pure = self._newton(ctx, v, node.mode, None, monkeypatch, pure=True)
         chord, n_chord = self._newton(ctx, v, node.mode, hess, monkeypatch)
-        assert np.max(np.abs(chord - fresh)) < 1e-6
-        assert n_chord < n_fresh
+        assert np.max(np.abs(chord - pure)) < 1e-6
+        assert n_chord < n_pure
+
+    def test_cold_start_refreshes_its_own_factor(self, chord_ctx, monkeypatch):
+        # no inherited factor: later steps still solve with the newest fresh one
+        ctx, v0, _ = chord_ctx
+        u0 = np.zeros(ctx.n_field + ctx.n_coef)
+        pure, n_pure = self._newton(ctx, v0, u0, None, monkeypatch, pure=True)
+        cold, n_cold = self._newton(ctx, v0, u0, None, monkeypatch)
+        assert np.max(np.abs(cold - pure)) < 1e-6
+        assert n_cold < n_pure
 
     def test_distant_factor_falls_back_to_fresh_hessians(self, chord_ctx, monkeypatch):
         ctx, v0, (node, _) = chord_ctx
@@ -287,14 +300,15 @@ class TestChordSteps:
 
     def test_fit_matches_fresh_hessian_steps(self, small_vse_fit, unit_roads, monkeypatch):
         # oracle: the same fit with every Newton step on a fresh Hessian.
-        # Modes that chord steps end at differ at the Newton tolerance, so
-        # log marginals differ by up to ~2e-7 and the hyper search parts ways
-        # after 93 shared evaluations: the weakly identified zeta median then
-        # moves by 4.2e-5 relative.  A cold Newton start moves this fit's
-        # hyper medians by up to 1.3e-2 relative.
+        # Modes that held factors end at differ at the Newton tolerance, so
+        # log marginals differ by up to ~2e-7 and the hyper search can part
+        # ways: the weakly identified zeta median moves by 6.2e-5 relative,
+        # coefficient means by 1.4e-6 sd.  A cold Newton start moves this
+        # fit's hyper medians by up to 1.3e-2 relative.
         newton = inference._newton_mode
         monkeypatch.setattr(inference, "_newton_mode",
                             lambda ctx, prior, offsets, u0, chord=None: newton(ctx, prior, offsets, u0))
+        monkeypatch.setattr(inference, "_CHORD_RATIO", 0.0)
         pattern, covs, _ = unit_square_data(seed=5, n=8)
         oracle = fit(pattern, covs, unit_roads, small_vse_fit.spec)
         result = small_vse_fit
@@ -305,6 +319,72 @@ class TestChordSteps:
         for name in result.hyper_param_names:
             s, o = result.summaries[name], oracle.summaries[name]
             assert abs(s["q50"] - o["q50"]) < 1e-4 * abs(o["q50"]), name
+
+
+class TestNewtonModes:
+    """Every Newton run of a fit ends below ``_NEWTON_TOL``, and a step that
+    can gain only rounding is taken at full length."""
+
+    def test_every_mode_meets_its_tolerance(self, unit_roads, monkeypatch):
+        # one event list per Newton run: ("f", objective) per log_post call,
+        # ("grad", None) per gradient at an accepted point and ("d", grad @
+        # step) per solve, so each step's line-search trials follow its "d"
+        runs, grad_maxes = [], []
+        events = [[]]  # the spies append to the last: a Newton run's, or outside Newton the first
+        log_post, loglik_grad = _ModelContext.log_post, _ModelContext.loglik_grad
+        solve, newton = BorderedPrecision.solve, inference._newton_mode
+
+        def spy_log_post(ctx, u, prior, offsets):
+            out = log_post(ctx, u, prior, offsets)
+            events[-1].append(("f", out[0]))
+            return out
+
+        def spy_loglik_grad(ctx, u, offsets):
+            events[-1].append(("grad", None))
+            return loglik_grad(ctx, u, offsets)
+
+        def spy_solve(hess, rhs):
+            step = solve(hess, rhs)
+            events[-1].append(("d", float(rhs @ step)))
+            return step
+
+        def spy_newton(ctx, prior, offsets, u0, chord=None):
+            events.append([])
+            out = newton(ctx, prior, offsets, u0, chord)
+            runs.append(events.pop())
+            grad = loglik_grad(ctx, out[0], offsets) + log_post(ctx, out[0], prior, offsets)[1]
+            grad_maxes.append(np.max(np.abs(grad)))
+            return out
+
+        monkeypatch.setattr(_ModelContext, "log_post", spy_log_post)
+        monkeypatch.setattr(_ModelContext, "loglik_grad", spy_loglik_grad)
+        monkeypatch.setattr(BorderedPrecision, "solve", spy_solve)
+        monkeypatch.setattr(inference, "_newton_mode", spy_newton)
+        pattern, covs, _ = unit_square_data(seed=5, n=8)
+        fit(pattern, covs, unit_roads,
+            ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC))
+        monkeypatch.undo()
+
+        assert len(grad_maxes) > 100
+        assert max(grad_maxes) < inference._NEWTON_TOL
+        end_game = 0
+        for run in runs:
+            f_val = f_last = None
+            steps = []  # [squared decrement, objective at its start, trials]
+            for kind, x in run:
+                if kind == "f":
+                    f_last = x
+                    if steps:
+                        steps[-1][2] += 1
+                elif kind == "grad":  # the last trial was accepted
+                    f_val = f_last
+                else:
+                    steps.append([x, f_val, 0])
+            for d, f, trials in steps:
+                if d <= inference._RESOLUTION_ULPS * np.spacing(abs(f)):
+                    end_game += 1
+                    assert trials == 1, (d, f, trials)
+        assert end_game > 0
 
 
 class _RowFeed:
