@@ -14,11 +14,8 @@ field block) belongs to the factor from then on: a Fortran-ordered
 while a C-ordered one is copied by the LAPACK wrapper.  Nobody keeps a band
 but a factor: ``GmrfPrecision.banded`` assembles a new column-major one on
 each call, for each fresh Newton Hessian and for the factor that a field
-draw holds beside its transpose ``L^T``.  ``inference.fit`` keeps one factor,
-the last successful hyper evaluation's Hessian at its mode, and Newton holds
-one: the kept one at first, then its newest fresh one.  Every Newton step
-solves with the held factor until a step cuts max|grad| by less than the
-fixed ratio ``inference._CHORD_RATIO``; only then is a fresh one factored.
+draw holds beside its transpose ``L^T``.  Which Hessian factors ``inference``
+keeps, and for how many Newton steps, its module docstring says.
 
 ``BandedCholesky`` makes four band calls: ``cholesky_banded`` (``pbtrf``) to
 factor, ``cho_solve_banded`` to solve, ``dtbtrs`` to solve ``L^T x = z`` for

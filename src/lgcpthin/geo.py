@@ -111,7 +111,6 @@ class RasterGrid:
 
     grid: Grid
     values: np.ndarray
-    nodata: float | None = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -364,16 +363,16 @@ def pearson_corr(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 def write_esri_ascii(raster: RasterGrid, path) -> None:
-    """Write a raster as an ESRI ASCII grid (rows top-down)."""
+    """Write a raster as an ESRI ASCII grid (rows top-down); no cell is
+    NODATA, and the header's value is -9999.0."""
     g = raster.grid
-    nodata = raster.nodata if raster.nodata is not None else -9999.0
     with open(path, "w") as fh:
         fh.write(f"ncols {g.nx}\n")
         fh.write(f"nrows {g.ny}\n")
         fh.write(f"xllcorner {g.x0!r}\n")
         fh.write(f"yllcorner {g.y0!r}\n")
         fh.write(f"cellsize {g.cell_size!r}\n")
-        fh.write(f"NODATA_value {nodata!r}\n")
+        fh.write("NODATA_value -9999.0\n")
         for row in raster.values[::-1]:
             fh.write(" ".join(repr(float(v)) for v in row) + "\n")
 
@@ -429,7 +428,7 @@ def read_esri_ascii(path) -> RasterGrid:
     n_bad = int(np.count_nonzero(~np.isfinite(values)))
     if n_bad:
         raise ParseError(f"{n_bad} non-finite cells; every cell needs a finite value", path)
-    return RasterGrid(grid, values, header.get("nodata_value"))
+    return RasterGrid(grid, values)
 
 
 def read_points_csv(path, domain=None) -> PointPattern:

@@ -318,11 +318,13 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarr
     dropped after any accepted step that does not cut max|grad| to
     ``_CHORD_RATIO`` of its value; a step on a factor from another point
     whose line search fails drops it and is retried from the same point
-    with a fresh Hessian.  The halving line search takes a step where the
-    objective strictly increases, or, at its full length, where the
-    squared Newton decrement ``grad @ step`` is at or below the objective's
-    resolution (``_RESOLUTION_ULPS`` ulps of it) and the objective falls by
-    no more than that: such a step can gain only rounding."""
+    with a fresh Hessian, and one on a fresh factor raises ``FitError``, as
+    does a gradient that is not finite.  The halving line search takes a
+    step where the objective strictly increases, or, at its full length,
+    where the squared Newton decrement ``grad @ step`` is at or below the
+    objective's resolution (``_RESOLUTION_ULPS`` ulps of it) and the
+    objective falls by no more than that: such a step can gain only
+    rounding."""
     u = u0.copy()
     f_val, prior_grad = ctx.log_post(u, prior, offsets)
     if not np.isfinite(f_val):
@@ -334,6 +336,8 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarr
         grad_max = np.max(np.abs(grad))
         if grad_max < _NEWTON_TOL:
             break
+        if not np.isfinite(grad_max):
+            raise FitError(f"Newton gradient is not finite (|grad|_max = {grad_max})")
         fresh = held is None  # a factor made at u, not at another point
         if fresh:
             held = ctx.hessian(ctx.curvature(u, offsets), prior)
@@ -355,8 +359,6 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarr
             if not fresh:  # retry the step from u with a fresh Hessian
                 held = None
                 continue
-            if grad_max < 1e-3:
-                break  # at numerical optimum; gradient already negligible
             raise FitError("Newton line search failed to increase the objective")
         u, f_val, prior_grad = u_new, f_new, prior_grad_new
         grad = ctx.loglik_grad(u, offsets) + prior_grad
@@ -378,23 +380,22 @@ def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None,
     factor at its mode, or None where it fails.  Newton starts at ``warm``
     and takes its first steps with ``chord``, as :func:`_newton_mode` says.
 
+    An evaluation fails in one way: the prior, its log-determinant or Newton
+    raises ``FitError``, ``NotSpdError``, ``ValueError`` or ``OverflowError``
+    (a singular prior, a non-finite gradient, a failed line search, ...).
+
     Marginal = penalized objective at the mode + 1/2 log det Q_prior
     - 1/2 log det H + hyper prior; the 2 pi factors cancel exactly.
     """
-    spec = ctx.spec
-    try:
-        prior = ctx.prior_at(v)
-    except (ValueError, OverflowError):
-        return None
-    logdet_q = prior.logdet()
-    if not math.isfinite(logdet_q):
-        return None
-    logdet_q += ctx.n_coef * math.log(spec.beta_precision)
-    offsets = ctx.offsets(ctx.zeta_of(v))
     u0 = warm if warm is not None else np.zeros(ctx.n_field + ctx.n_coef)
     try:
-        mode, hess, f_val = _newton_mode(ctx, prior, offsets, u0, chord)
-    except (FitError, NotSpdError):
+        prior = ctx.prior_at(v)
+        logdet_q = prior.logdet()
+        if not math.isfinite(logdet_q):
+            raise FitError("the field prior is numerically singular")
+        logdet_q += ctx.n_coef * math.log(ctx.spec.beta_precision)
+        mode, hess, f_val = _newton_mode(ctx, prior, ctx.offsets(ctx.zeta_of(v)), u0, chord)
+    except (FitError, NotSpdError, ValueError, OverflowError):
         return None
     lm = f_val + 0.5 * logdet_q - 0.5 * hess.logdet() + ctx.hyper_log_prior(v)
     return HyperNode(hyper=np.array(v, dtype=float), laplace_log_marginal=lm,
@@ -425,8 +426,7 @@ def _node_key(v: np.ndarray) -> tuple:  # rounded, so that one hyper node has on
     return tuple(np.round(v, 10))
 
 
-def hyper_grid(log_marginal, start: np.ndarray,
-               prescan: dict[int, np.ndarray] | None = None) -> HyperGrid:
+def hyper_grid(log_marginal, start: np.ndarray) -> HyperGrid:
     """Locate the hyper posterior mode and lay a regular grid around it.
 
     ``log_marginal`` maps a hyper vector to its Laplace log marginal (or
@@ -437,11 +437,6 @@ def hyper_grid(log_marginal, start: np.ndarray,
     approximate posterior sds, from a finite-difference Hessian at the mode.
     On optimizer failure the spread falls back to 0.75 around the best center
     found, and the fallback is reported in diagnostics.
-
-    ``prescan`` maps a dimension index to candidate offsets from ``start``;
-    the best candidate seeds the search.  Useful for weakly identified
-    dimensions (the thinning rate on lightly thinned data) where a cold
-    simplex can strand in a flat region.
     """
     start = np.atleast_1d(np.asarray(start, dtype=float))
     dim = start.size
@@ -451,11 +446,6 @@ def hyper_grid(log_marginal, start: np.ndarray,
 
     def f(v) -> float:  # a Python float: the differences below may meet -inf
         return float(log_marginal(v))
-
-    if prescan:
-        for axis, offsets in prescan.items():
-            best = max(offsets, key=lambda off: f(_with_axis(start, axis, start[axis] + off)))
-            start = _with_axis(start, axis, start[axis] + best)
 
     center = start
     spread = np.full(dim, _FALLBACK_SPREAD)
@@ -768,13 +758,15 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
         node = evaluated[key]
         return -np.inf if node is None else node.laplace_log_marginal
 
-    hyper_names = spec.hyper_names()
-    prescan = None
-    if "theta" in hyper_names:
-        # the thinning rate is weakly identified on lightly thinned data;
-        # scan its axis first so the simplex starts in the right basin
-        prescan = {len(hyper_names) - 1: np.array([-8.0, -6.0, -4.0, -2.0, 0.0, 2.0])}
-    grid = hyper_grid(log_marginal, ctx.hyper_start(), prescan=prescan)
+    start = ctx.hyper_start()
+    if "theta" in spec.hyper_names():
+        # the thinning rate is weakly identified on lightly thinned data, and
+        # a cold simplex can strand in a flat region: the best of a scan
+        # along its axis seeds the search
+        best = max((-8.0, -6.0, -4.0, -2.0, 0.0, 2.0),
+                   key=lambda off: log_marginal(_with_axis(start, -1, start[-1] + off)))
+        start = _with_axis(start, -1, start[-1] + best)
+    grid = hyper_grid(log_marginal, start)
 
     nodes = [replace(evaluated[_node_key(v)], weight=float(w))
              for v, w in zip(grid.nodes, grid.weights) if w > 0.0]

@@ -387,6 +387,50 @@ class TestNewtonModes:
         assert end_game > 0
 
 
+class TestFailedEvaluation:
+    """A hyper vector whose Newton gradient overflows at an accepted point
+    fails its evaluation, and the fit goes on without it."""
+
+    def _overflow(self, monkeypatch, when):
+        """Make ``loglik_grad`` overflow on its second call (Newton's first
+        accepted point) wherever ``when()`` holds."""
+        loglik_grad, calls = _ModelContext.loglik_grad, [0]
+
+        def spy(ctx, u, offsets):
+            calls[0] += 1
+            grad = loglik_grad(ctx, u, offsets)
+            if when() and calls[0] == 2:
+                grad[0] = np.inf
+            return grad
+
+        monkeypatch.setattr(_ModelContext, "loglik_grad", spy)
+        return calls
+
+    def test_laplace_evaluation_fails(self, chord_ctx, monkeypatch):
+        ctx, v0, _ = chord_ctx
+        calls = self._overflow(monkeypatch, lambda: True)
+        assert inference._laplace_at(ctx, v0, None) is None
+        assert calls[0] == 2
+
+    def test_fit_survives(self, unit_roads, monkeypatch):
+        failed = []  # per Laplace evaluation, whether it returned None
+        laplace_at = inference._laplace_at
+
+        def spy(ctx, v, *warm):
+            calls[0] = 0
+            out = laplace_at(ctx, v, *warm)
+            failed.append(out is None)
+            return out
+
+        calls = self._overflow(monkeypatch, lambda: len(failed) == 2)
+        monkeypatch.setattr(inference, "_laplace_at", spy)
+        pattern, covs, _ = unit_square_data(seed=5, n=8)
+        result = fit(pattern, covs, unit_roads,
+                     ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC))
+        assert failed[:3] == [False, False, True]
+        assert all(math.isfinite(v) for s in result.summaries.values() for v in s.values())
+
+
 class _RowFeed:
     """Stands in for a Generator: hands out the rows of ``m`` in order."""
 
@@ -679,6 +723,12 @@ class TestFit:
         result = fit(pattern, covs, unit_roads, spec)
         assert seen and len(set(seen)) == len(seen)
         assert result.hyper_diagnostics["n_evals"] >= len(seen)
+        # the first six are the scan along theta, from its prior mean
+        start = _ModelContext(pattern, covs, unit_roads, spec).hyper_start()
+        assert start[-1] == spec.theta_prior.mean
+        scan = [inference._node_key(np.append(start[:-1], start[-1] + off))
+                for off in (-8.0, -6.0, -4.0, -2.0, 0.0, 2.0)]
+        assert seen[:6] == scan
 
     def test_vse_requires_roads(self):
         pattern, covs, _ = unit_square_data(seed=1)
