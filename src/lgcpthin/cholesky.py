@@ -24,7 +24,8 @@ threads than on one (a VSE fit on the default study geometry: 3.0 s on two
 threads, 2.3 s on one, on a 2-vCPU machine), so each runs, for any caller,
 under ``_one_blas_thread``, which pins the OpenBLAS libraries that numpy and
 scipy call LAPACK through to one thread and gives the caller's count back
-on the way out.
+on the way out.  Nothing else in the package takes the pin:
+``geo.pearson_corr`` sums without BLAS.
 """
 
 from __future__ import annotations

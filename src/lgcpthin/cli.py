@@ -188,8 +188,8 @@ def _model_spec(args, covariate_names) -> ModelSpec:
         {"prior precision": "--beta-precision", "zeta_fixed": "--zeta-fixed"}, ModelSpec,
         covariate_names=tuple(covariate_names),
         use_vse=args.model == "vse",
-        pc_prior=PcPriorSpec(args.pc_rho0, args.pc_alpha_rho,
-                             args.pc_sigma0, args.pc_alpha_sigma),
+        pc_prior=_flagged({"rho0": "--pc-rho0", "sigma0": "--pc-sigma0"}, PcPriorSpec,
+                          args.pc_rho0, args.pc_alpha_rho, args.pc_sigma0, args.pc_alpha_sigma),
         beta_precision=args.beta_precision,
         theta_prior=_flagged({"prior mean": "--theta-mean", "prior precision": "--theta-precision"},
                              NormalPrior, args.theta_mean, args.theta_precision),

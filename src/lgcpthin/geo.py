@@ -33,7 +33,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.special import kolmogorov
 
-from lgcpthin.cholesky import _one_blas_thread
 from lgcpthin.errors import LgcpThinError, ParseError
 
 _CONGRUENT_TOL = 1e-9  # coordinate slack when comparing grids
@@ -58,8 +57,10 @@ class Grid:
     ny: int
 
     def __post_init__(self):
-        if self.cell_size <= 0:
-            raise ValueError("cell_size must be positive")
+        if not (math.isfinite(self.x0) and math.isfinite(self.y0)):
+            raise ValueError(f"grid origin must be finite, got ({self.x0}, {self.y0})")
+        if not (math.isfinite(self.cell_size) and self.cell_size > 0):
+            raise ValueError(f"cell_size must be positive and finite, got {self.cell_size}")
         if self.nx < 1 or self.ny < 1:
             raise ValueError("grid must have at least one cell per dimension")
 
@@ -348,11 +349,10 @@ def pearson_corr(a, b) -> float:
         raise ValueError("inputs must have equal length >= 2")
     xc = x - x.mean()
     yc = y - y.mean()
-    # One BLAS thread: a threaded dot product's sum depends on the thread count.
-    with _one_blas_thread:
-        sx = math.sqrt(float(xc @ xc))
-        sy = math.sqrt(float(yc @ yc))
-        sxy = float(xc @ yc)
+    # numpy's pairwise sums run on one thread, unlike a BLAS dot product's
+    sx = math.sqrt(float(np.sum(xc * xc)))
+    sy = math.sqrt(float(np.sum(yc * yc)))
+    sxy = float(np.sum(xc * yc))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("correlation undefined for zero-variance input")
     return float(np.clip(sxy / (sx * sy), -1.0, 1.0))
@@ -416,10 +416,13 @@ def read_esri_ascii(path) -> RasterGrid:
     missing = required - header.keys()
     if missing:
         raise ParseError(f"missing header fields: {sorted(missing)}", path)
-    nx, ny = int(header["ncols"]), int(header["nrows"])
-    if len(rows) != ny or any(r.size != nx for r in rows):
-        raise ParseError(f"expected {ny} rows of {nx} values", path)
-    grid = Grid(header["xllcorner"], header["yllcorner"], header["cellsize"], nx, ny)
+    try:
+        grid = Grid(header["xllcorner"], header["yllcorner"], header["cellsize"],
+                    int(header["ncols"]), int(header["nrows"]))
+    except (ValueError, OverflowError) as exc:  # int() of a NaN or infinite count
+        raise ParseError(f"header makes no valid grid: {exc}", path) from exc
+    if len(rows) != grid.ny or any(r.size != grid.nx for r in rows):
+        raise ParseError(f"expected {grid.ny} rows of {grid.nx} values", path)
     values = np.vstack(rows)[::-1]
     if "nodata_value" in header:
         n_nodata = int(np.count_nonzero(values == header["nodata_value"]))

@@ -89,8 +89,10 @@ class PcPriorSpec:
     alpha_sigma: float = 0.05
 
     def __post_init__(self):
-        if self.rho0 <= 0 or self.sigma0 <= 0:
-            raise ValueError("rho0 and sigma0 must be positive")
+        for name in ("rho0", "sigma0"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not (0 < self.alpha_rho < 1 and 0 < self.alpha_sigma < 1):
             raise ValueError("tail probabilities must lie in (0, 1)")
 

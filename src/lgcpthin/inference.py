@@ -164,9 +164,12 @@ class _ModelContext:
             raise ValueError("the VSE model needs a road network")
 
         grid = covariates[spec.covariate_names[0]].grid
-        for name in spec.covariate_names[1:]:
+        for name in spec.covariate_names:
             if not covariates[name].grid.congruent(grid):
                 raise ValueError(f"covariate {name!r} grid not congruent")
+            n_bad = int(np.count_nonzero(~np.isfinite(covariates[name].values)))
+            if n_bad:
+                raise ValueError(f"covariate {name!r} has {n_bad} non-finite cells")
         self.spec = spec
         self.grid = grid
         self.scheme = IntegrationScheme.from_grid(grid)
@@ -227,14 +230,13 @@ class _ModelContext:
         return eta_n, eta_p
 
     def loglik(self, u: np.ndarray, offsets) -> float:
+        """Cox log-likelihood at u; -inf or NaN where ``exp`` overflows."""
         eta_n, eta_p = self.eta(u, offsets)
-        with np.errstate(over="ignore"):  # overflow gives -inf; the line search rejects it
-            return _cox_loglik(self.scheme.weights, eta_n, eta_p)
+        return _cox_loglik(self.scheme.weights, eta_n, eta_p)
 
     def loglik_grad(self, u: np.ndarray, offsets) -> np.ndarray:
         eta_n, _ = self.eta(u, offsets)
-        with np.errstate(over="ignore"):
-            lam = self.scheme.weights * np.exp(eta_n)
+        lam = self.scheme.weights * np.exp(eta_n)
         grad_beta = -self.x_nodes.T @ lam + self._coef_pull
         return np.concatenate([self._field_pull - self._to_field(lam), grad_beta])
 
@@ -243,19 +245,18 @@ class _ModelContext:
         return self.ops.assemble(MaternParams(sigma=math.exp(v[1]), rho=math.exp(v[0])))
 
     def log_post(self, u: np.ndarray, prior: GmrfPrecision, offsets):
-        """Latent log-posterior loglik - u' Q u / 2 (up to a constant) and its prior gradient."""
+        """Latent log-posterior loglik - u' Q u / 2 (up to a constant) and its
+        prior gradient; not finite where an overshooting point overflows."""
         omega, beta = u[: self.n_field], u[self.n_field:]
         prec_b = self.spec.beta_precision
         q_omega = prior.matvec(omega)
-        with np.errstate(over="ignore"):  # an overshooting trial point; the line search rejects it
-            val = -0.5 * prec_b * float(beta @ beta) - 0.5 * float(omega @ q_omega)
+        val = -0.5 * prec_b * float(beta @ beta) - 0.5 * float(omega @ q_omega)
         return self.loglik(u, offsets) + val, np.concatenate([-q_omega, -prec_b * beta])
 
     def curvature(self, u: np.ndarray, offsets) -> np.ndarray:
         """Poisson weights ``w_i exp(eta_i)``, capped so they stay finite."""
         eta_n, _ = self.eta(u, offsets)
-        with np.errstate(over="ignore"):
-            return self.scheme.weights * np.exp(np.minimum(eta_n, 500.0))
+        return self.scheme.weights * np.exp(np.minimum(eta_n, 500.0))
 
     def hessian(self, curvature: np.ndarray, prior: GmrfPrecision) -> BorderedPrecision:
         """Negated Hessian of the penalized objective at Poisson weights
@@ -324,53 +325,55 @@ def _newton_mode(ctx: _ModelContext, prior: GmrfPrecision, offsets, u0: np.ndarr
     where the squared Newton decrement ``grad @ step`` is at or below the
     objective's resolution (``_RESOLUTION_ULPS`` ulps of it) and the
     objective falls by no more than that: such a step can gain only
-    rounding."""
-    u = u0.copy()
-    f_val, prior_grad = ctx.log_post(u, prior, offsets)
-    if not np.isfinite(f_val):
-        u = np.zeros_like(u0)
+    rounding.  Numpy's overflow and invalid-value warnings are silenced here
+    alone: trial points overshoot by design, and the checks above handle
+    what is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = u0.copy()
         f_val, prior_grad = ctx.log_post(u, prior, offsets)
-    grad = ctx.loglik_grad(u, offsets) + prior_grad
-    held = chord  # the factor every step solves with
-    for _ in range(_MAX_NEWTON_ITER):
-        grad_max = np.max(np.abs(grad))
-        if grad_max < _NEWTON_TOL:
-            break
-        if not np.isfinite(grad_max):
-            raise FitError(f"Newton gradient is not finite (|grad|_max = {grad_max})")
-        fresh = held is None  # a factor made at u, not at another point
-        if fresh:
-            held = ctx.hessian(ctx.curvature(u, offsets), prior)
-        step = held.solve(grad)
-        # a step that can gain only rounding (end game) may, at full
-        # length, lose as much as the objective's resolution
-        with np.errstate(over="ignore", invalid="ignore"):  # a runaway step is no end game
-            decrement = grad @ step
-        resolution = _RESOLUTION_ULPS * np.spacing(abs(f_val))
-        floor = f_val - resolution if decrement <= resolution else np.inf
-        t = 1.0
-        for _ in range(30):
-            u_new = u + t * step
-            f_new, prior_grad_new = ctx.log_post(u_new, prior, offsets)
-            if np.isfinite(f_new) and (f_new > f_val or t == 1.0 and f_new >= floor):
-                break
-            t *= 0.5
-        else:  # u and prior_grad, so grad too, are as at the loop's top
-            if not fresh:  # retry the step from u with a fresh Hessian
-                held = None
-                continue
-            raise FitError("Newton line search failed to increase the objective")
-        u, f_val, prior_grad = u_new, f_new, prior_grad_new
+        if not np.isfinite(f_val):
+            u = np.zeros_like(u0)
+            f_val, prior_grad = ctx.log_post(u, prior, offsets)
         grad = ctx.loglik_grad(u, offsets) + prior_grad
-        if np.max(np.abs(grad)) > _CHORD_RATIO * grad_max:
-            held = None
-    else:
-        if np.max(np.abs(grad)) >= _NEWTON_TOL * 100:
-            raise FitError(
-                f"Newton did not converge in {_MAX_NEWTON_ITER} iterations "
-                f"(|grad|_max = {np.max(np.abs(grad)):.3e})")
-    held = None  # freed before the mode's Hessian is built
-    return u, ctx.hessian(ctx.curvature(u, offsets), prior), f_val
+        held = chord  # the factor every step solves with
+        for _ in range(_MAX_NEWTON_ITER):
+            grad_max = np.max(np.abs(grad))
+            if grad_max < _NEWTON_TOL:
+                break
+            if not np.isfinite(grad_max):
+                raise FitError(f"Newton gradient is not finite (|grad|_max = {grad_max})")
+            fresh = held is None  # a factor made at u, not at another point
+            if fresh:
+                held = ctx.hessian(ctx.curvature(u, offsets), prior)
+            step = held.solve(grad)
+            # a step that can gain only rounding (end game) may, at full
+            # length, lose as much as the objective's resolution
+            decrement = grad @ step  # not finite for a runaway step: no end game
+            resolution = _RESOLUTION_ULPS * np.spacing(abs(f_val))
+            floor = f_val - resolution if decrement <= resolution else np.inf
+            t = 1.0
+            for _ in range(30):
+                u_new = u + t * step
+                f_new, prior_grad_new = ctx.log_post(u_new, prior, offsets)
+                if np.isfinite(f_new) and (f_new > f_val or t == 1.0 and f_new >= floor):
+                    break
+                t *= 0.5
+            else:  # u and prior_grad, so grad too, are as at the loop's top
+                if not fresh:  # retry the step from u with a fresh Hessian
+                    held = None
+                    continue
+                raise FitError("Newton line search failed to increase the objective")
+            u, f_val, prior_grad = u_new, f_new, prior_grad_new
+            grad = ctx.loglik_grad(u, offsets) + prior_grad
+            if np.max(np.abs(grad)) > _CHORD_RATIO * grad_max:
+                held = None
+        else:
+            if np.max(np.abs(grad)) >= _NEWTON_TOL * 100:
+                raise FitError(
+                    f"Newton did not converge in {_MAX_NEWTON_ITER} iterations "
+                    f"(|grad|_max = {np.max(np.abs(grad)):.3e})")
+        held = None  # freed before the mode's Hessian is built
+        return u, ctx.hessian(ctx.curvature(u, offsets), prior), f_val
 
 
 def _laplace_at(ctx: _ModelContext, v: np.ndarray, warm: np.ndarray | None,

@@ -410,6 +410,9 @@ class TestErrorHandling:
         (["--beta-precision", "0"], "prior precision must be positive and finite"),
         (["--theta-mean", "nan"], "prior mean must be finite"),
         (["--theta-precision", "0"], "prior precision must be positive and finite"),
+        (["--pc-rho0", "nan"], "rho0 must be positive and finite, got nan"),
+        (["--pc-sigma0", "inf"], "sigma0 must be positive and finite, got inf"),
+        (["--pc-sigma0", "0"], "sigma0 must be positive and finite, got 0.0"),
     ])
     def test_fit_rejects_bad_model_values(self, world, thinned, tmp_path, capsys, flag, message):
         code = main(fit_args(world, thinned / "thinned.csv", tmp_path / "o", "vse") + flag)

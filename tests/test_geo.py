@@ -1,5 +1,7 @@
 """Geometry, distance, and exploratory-statistics tests."""
 
+import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -402,9 +404,10 @@ class TestPearsonCorr:
         assert pearson_corr(a, b) == pytest.approx(oracle, abs=1e-12)
 
     def test_same_bits_whether_or_not_the_caller_pins_blas(self):
-        # Above 10,000 values OpenBLAS may thread its dot product, and the
+        # Above 10,000 values OpenBLAS may thread a dot product, and the
         # threaded sum depends on the thread count.  On 2 threads about half
-        # of these inputs round differently, so eight seeds catch a lost pin.
+        # of these inputs round differently, so eight seeds catch sums that
+        # go back to BLAS: pearson_corr takes numpy's one-thread sums.
         for seed in range(8):
             rng = np.random.default_rng(seed)
             a = rng.normal(size=20000)
@@ -447,6 +450,18 @@ class TestGridRaster:
         np.testing.assert_array_equal(inside[0], np.tile(np.arange(nx), ny))
         np.testing.assert_array_equal(inside[1], np.repeat(np.arange(ny), nx))
 
+    @pytest.mark.parametrize("x0, y0, h, message", [
+        (math.nan, 0.0, 1.0, "grid origin must be finite"),
+        (0.0, math.inf, 1.0, "grid origin must be finite"),
+        (0.0, 0.0, math.nan, "cell_size must be positive and finite"),
+        (0.0, 0.0, math.inf, "cell_size must be positive and finite"),
+        (0.0, 0.0, -1.0, "cell_size must be positive and finite"),
+    ])
+    def test_grid_rejects_non_finite_geometry(self, x0, y0, h, message):
+        # a NaN cell size would give a NaN bbox
+        with pytest.raises(ValueError, match=message):
+            Grid(x0, y0, h, 4, 4)
+
     def test_pattern_validation(self):
         with pytest.raises(ValueError):
             PointPattern(np.array([[2.0, 0.5]]), (0, 0, 1, 1))
@@ -486,6 +501,18 @@ class TestFileFormats:
         path.write_text("ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\n"
                         "1.0 nan 2.0\n-inf 0.5 inf\n")
         with pytest.raises(ParseError, match="3 non-finite cells"):
+            geo.read_esri_ascii(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("cellsize", "nan"), ("cellsize", "-1"), ("ncols", "0"), ("nrows", "inf"),
+    ])
+    def test_esri_ascii_header_without_a_grid(self, tmp_path, field, value):
+        header = {"ncols": "2", "nrows": "1", "xllcorner": "0", "yllcorner": "0",
+                  "cellsize": "1"}
+        header[field] = value
+        path = tmp_path / "g.asc"
+        path.write_text("".join(f"{k} {v}\n" for k, v in header.items()) + "1.0 2.0\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: header makes no valid grid"):
             geo.read_esri_ascii(path)
 
     def test_esri_ascii_bad_header(self, tmp_path):

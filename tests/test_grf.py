@@ -330,6 +330,14 @@ class TestPcPrior:
             1e-9, np.inf, 1e-9, np.inf, epsabs=1e-6, epsrel=1e-6)
         assert val == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("field", ["rho0", "sigma0"])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+    def test_spec_rejects_bad_thresholds(self, field, bad):
+        # an infinite sigma0 gives lambda_sigma = 0, and the prior median
+        # would divide by zero
+        with pytest.raises(ValueError, match=f"^{field} must be positive and finite, got {bad}"):
+            PcPriorSpec(**{field: bad})
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             pc_prior_logdensity(-1.0, 1.0, self.SPEC)

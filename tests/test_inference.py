@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -429,6 +430,35 @@ class TestFailedEvaluation:
                      ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC))
         assert failed[:3] == [False, False, True]
         assert all(math.isfinite(v) for s in result.summaries.values() for v in s.values())
+
+
+    def test_overflowing_warm_start_warns_nowhere(self, naive_spec):
+        # a far warm start overflows log_post's quadratic form, and Newton
+        # starts again from zero: Newton meets the overflow, and numpy
+        # warns of nothing
+        pattern, covs, _ = unit_square_data(seed=3, n=10)
+        ctx = _ModelContext(pattern, covs, None, naive_spec)
+        warm = np.zeros(ctx.n_field + ctx.n_coef)
+        warm[:ctx.n_field] = 1e160 * np.random.default_rng(2).standard_normal(ctx.n_field)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = inference._laplace_at(ctx, ctx.hyper_start(), warm)
+        assert out is None or math.isfinite(out[0].laplace_log_marginal)
+
+
+class TestCovariateValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cells_rejected_before_any_evaluation(self, naive_spec, monkeypatch, bad):
+        # a NaN cell would run the whole hyper search to "no hyper grid node
+        # has a finite Laplace marginal"
+        pattern, covs, grid = unit_square_data(seed=3, n=10)
+        values = covs["x1"].values.copy()
+        values[2, 3] = values[5, 5] = bad
+        evals = []
+        monkeypatch.setattr(inference, "_laplace_at", lambda *args: evals.append(args))
+        with pytest.raises(ValueError, match="covariate 'x1' has 2 non-finite cells"):
+            fit(pattern, {"x1": RasterGrid(grid, values)}, None, naive_spec)
+        assert evals == []
 
 
 class _RowFeed:
