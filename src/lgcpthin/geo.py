@@ -412,14 +412,15 @@ def read_esri_ascii(path) -> RasterGrid:
                     rows.append(np.array([float(v) for v in parts]))
                 except ValueError as exc:
                     raise ParseError(f"non-numeric raster value: {exc}", path, lineno)
-    required = {"ncols", "nrows", "xllcorner", "yllcorner", "cellsize"}
-    missing = required - header.keys()
+    missing = keys - {"nodata_value"} - header.keys()
     if missing:
         raise ParseError(f"missing header fields: {sorted(missing)}", path)
-    try:
-        grid = Grid(header["xllcorner"], header["yllcorner"], header["cellsize"],
-                    int(header["ncols"]), int(header["nrows"]))
-    except (ValueError, OverflowError) as exc:  # int() of a NaN or infinite count
+    nx, ny = header["ncols"], header["nrows"]
+    try:  # int() would truncate 2.5; is_integer() is also False for NaN and inf
+        if not (nx.is_integer() and ny.is_integer()):
+            raise ValueError(f"ncols {nx:g} and nrows {ny:g} must be whole numbers")
+        grid = Grid(header["xllcorner"], header["yllcorner"], header["cellsize"], int(nx), int(ny))
+    except ValueError as exc:
         raise ParseError(f"header makes no valid grid: {exc}", path) from exc
     if len(rows) != grid.ny or any(r.size != grid.nx for r in rows):
         raise ParseError(f"expected {grid.ny} rows of {grid.nx} values", path)

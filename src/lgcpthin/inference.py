@@ -41,7 +41,7 @@ from typing import ClassVar
 import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq, minimize
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.errors import FitError, NotSpdError
@@ -549,8 +549,8 @@ class _GridMarginal:
 class _MixtureMarginal:
     """1-D posterior marginal of a coefficient: the nodes' Gaussians, with
     means ``means`` and sds ``sds``, mixed by the node weights.  Quantiles
-    invert the mixture CDF by root finding, with each sd floored at 1e-12 so
-    that the CDF is defined; draws use the sds as given."""
+    invert the mixture CDF (component CDF ``scipy.special.ndtr``) by root finding,
+    each sd floored at 1e-12 so that the CDF is defined; draws use the sds as given."""
 
     def __init__(self, weights: np.ndarray, means: np.ndarray, sds: np.ndarray):
         self.weights, self.means, self.sds = weights, means, sds
@@ -567,12 +567,8 @@ class _MixtureMarginal:
         sds = np.maximum(self.sds, 1e-12)
         lo = float(np.min(self.means - 8 * sds))
         hi = float(np.max(self.means + 8 * sds))
-
-        def cdf_minus(x, p):
-            return float(self.weights @ norm.cdf((x - self.means) / sds)) - p
-
-        return np.array([brentq(cdf_minus, lo, hi, args=(p,), xtol=1e-10)
-                         for p in np.atleast_1d(q)])
+        return np.array([brentq(lambda x: float(self.weights @ ndtr((x - self.means) / sds)) - p,
+                                lo, hi, xtol=1e-10) for p in np.atleast_1d(q)])
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         ks = rng.choice(self.weights.size, size=size, p=self.weights)

@@ -1,10 +1,15 @@
 """End-to-end command-line tests on a small synthetic world."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lgcpthin
 from lgcpthin import cli, geo
 from lgcpthin.cli import _model_spec, _parse_args, build_parser, main, read_config
 from lgcpthin.errors import ParseError
@@ -31,6 +36,19 @@ def world(tmp_path_factory):
     roads_path = root / "roads.geojson"
     geo.write_roads_geojson(roads, roads_path)
     return {"root": root, "cov": str(cov_path), "roads": str(roads_path)}
+
+
+def test_import_loads_no_scipy_stats():
+    """Every command pays for the package import before it does any work.
+    The coefficient marginals' normal CDF is ``scipy.special.ndtr``, so no
+    module loads scipy.stats, nor the scipy.integrate and scipy.ndimage that
+    it pulls in."""
+    code = ("import lgcpthin, lgcpthin.cli, sys; print(sorted({m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'], ['scipy', 'ndimage'])}))")
+    src = str(Path(lgcpthin.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def simulate_args(world, outdir, seed=7):

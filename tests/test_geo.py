@@ -505,6 +505,7 @@ class TestFileFormats:
 
     @pytest.mark.parametrize("field, value", [
         ("cellsize", "nan"), ("cellsize", "-1"), ("ncols", "0"), ("nrows", "inf"),
+        ("ncols", "2.5"), ("nrows", "1.5"),
     ])
     def test_esri_ascii_header_without_a_grid(self, tmp_path, field, value):
         header = {"ncols": "2", "nrows": "1", "xllcorner": "0", "yllcorner": "0",

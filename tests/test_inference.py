@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import ndtr
 from scipy.stats import norm
 
 from lgcpthin import inference
@@ -19,6 +21,7 @@ from lgcpthin.inference import (
     ModelSpec,
     NormalPrior,
     _GridMarginal,
+    _MixtureMarginal,
     _ModelContext,
     _newton_mode,
     fit,
@@ -28,6 +31,7 @@ from lgcpthin.inference import (
 )
 from lgcpthin.pointprocess import loglik_lgcp, make_log_intensity, simulate_lgcp
 from lgcpthin.simstudy import ScenarioConfig, synthetic_assets
+import mcmc_oracle
 from mcmc_oracle import ChainConfig, gelman_rubin, mcmc_fit
 
 UNIT_PC = PcPriorSpec(rho0=0.08, alpha_rho=0.05, sigma0=1.0, alpha_sigma=0.05)
@@ -587,6 +591,22 @@ class TestGridMarginal:
         assert draws.mean() == pytest.approx(marg.mean(), abs=0.03)
 
 
+class TestMixtureMarginal:
+    def test_ndtr_is_norm_cdf_bit_for_bit(self):
+        z = np.concatenate([np.linspace(-40.0, 40.0, 200_001), [-np.inf, np.inf, -0.0, 0.0]])
+        assert ndtr(z).tobytes() == norm.cdf(z).tobytes()
+
+    def test_quantile_matches_norm_cdf_root(self):
+        w = np.array([0.5, 0.3, 0.2])
+        m = np.array([-1.0, 0.4, 2.5])
+        s = np.array([0.6, 1.3, 0.2])
+        q = np.array([0.001, 0.025, 0.3, 0.5, 0.8, 0.975, 0.999])
+        lo, hi = float(np.min(m - 8 * s)), float(np.max(m + 8 * s))
+        oracle = [brentq(lambda x: float(w @ norm.cdf((x - m) / s)) - p, lo, hi, xtol=1e-10)
+                  for p in q]
+        assert _MixtureMarginal(w, m, s).quantile(q).tolist() == oracle
+
+
 class TestFit:
     def test_weights_normalized_and_summaries_ordered(self, small_fit):
         result, _, _ = small_fit
@@ -911,6 +931,16 @@ class TestMcmc:
         np.testing.assert_array_equal(a.beta, b.beta)
         c = mcmc_fit(pattern, covs, None, naive_spec, cfg, chains=1, seed=10)
         assert not np.array_equal(a.beta, c.beta)
+
+    def test_forked_chains_equal_serial_chains(self, naive_spec, monkeypatch):
+        pattern, covs, _ = unit_square_data(seed=23, n=8)
+        cfg = ChainConfig(n_iter=400, n_burn=200)
+        forked = mcmc_fit(pattern, covs, None, naive_spec, cfg, chains=3, seed=9)
+        monkeypatch.setattr(mcmc_oracle, "_FORK_WORKERS", False)
+        serial = mcmc_fit(pattern, covs, None, naive_spec, cfg, chains=3, seed=9)
+        np.testing.assert_array_equal(forked.beta, serial.beta)
+        np.testing.assert_array_equal(forked.hypers, serial.hypers)
+        assert forked.warnings == serial.warnings
 
     def test_acceptance_rates_tracked(self, naive_spec):
         pattern, covs, _ = unit_square_data(seed=25, n=8)
