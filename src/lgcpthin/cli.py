@@ -315,7 +315,8 @@ def cmd_predict(args) -> int:
 def cmd_simstudy(args) -> int:
     run = _Run("simstudy", args)
     config = _flagged(
-        {"informative_mean": "--informative-mean"}, ScenarioConfig,
+        {"informative_mean": "--informative-mean", "grid_n": "--grid-n",
+         "domain_size": "--domain-size"}, ScenarioConfig,
         zeta_levels=tuple(args.zeta_levels),
         replicates=args.replicates,
         posterior_draws_per_fit=args.posterior_draws,

@@ -417,11 +417,11 @@ def _with_axis(v: np.ndarray, axis: int, value: float) -> np.ndarray:
 
 @dataclass
 class HyperGrid:
-    """Nodes and normalized weights over hyper space."""
+    """Nodes and normalized weights over hyper space: the product of ``axes``' rows."""
 
     nodes: np.ndarray          # (m, d)
     weights: np.ndarray        # (m,), sums to 1
-    mode: np.ndarray           # (d,)
+    axes: np.ndarray           # (d, ModelSpec.grid_points_per_dim), each row ascending
     diagnostics: dict
 
 
@@ -485,7 +485,7 @@ def hyper_grid(log_marginal, start: np.ndarray) -> HyperGrid:
     spread = np.clip(spread, 0.05, 3.0)
 
     offsets = np.linspace(-_SPAN_SD, _SPAN_SD, ModelSpec.grid_points_per_dim)
-    axes = [center[i] + offsets * spread[i] for i in range(dim)]
+    axes = center[:, None] + offsets * spread[:, None]
     nodes = np.array(list(itertools.product(*axes)))
     lms = np.array([f(v) for v in nodes])
     finite = np.isfinite(lms)
@@ -494,7 +494,7 @@ def hyper_grid(log_marginal, start: np.ndarray) -> HyperGrid:
     shifted = np.where(finite, lms - lms[finite].max(), -np.inf)
     w = np.exp(shifted)
     weights = w / w.sum()
-    return HyperGrid(nodes, weights, center, diagnostics)
+    return HyperGrid(nodes, weights, axes, diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +502,18 @@ def hyper_grid(log_marginal, start: np.ndarray) -> HyperGrid:
 # ---------------------------------------------------------------------------
 
 class _GridMarginal:
-    """1-D posterior marginal of a hyperparameter from the grid nodes' values
-    along its axis and their weights.
+    """1-D posterior marginal of a hyperparameter from the grid's ascending
+    values along its axis and the weight pooled at each.
 
-    Nodes that share an axis value are pooled, the log weight profile over
-    the (few) axis values is interpolated with a cubic spline on a fine grid,
+    Axis values with zero weight are dropped, the log weight profile over
+    the (few) others is interpolated with a cubic spline on a fine grid,
     exponentiated, and normalized; summaries and inverse-CDF draws come from
     the resulting discrete distribution.
     """
 
-    def __init__(self, node_values: np.ndarray, node_weights: np.ndarray,
-                 transform=np.exp):
-        x = np.unique(np.round(node_values, 12))
-        w = np.array([node_weights[np.isclose(node_values, val)].sum() for val in x])
-        w = np.maximum(w, 1e-300)
-        logw = np.log(w)
+    def __init__(self, axis: np.ndarray, weights: np.ndarray, transform=np.exp):
+        x = axis[weights > 0]
+        logw = np.log(np.maximum(weights[weights > 0], 1e-300))
         logw = np.maximum(logw, logw.max() - 40.0)
         if x.size >= 3:
             spline = CubicSpline(x, logw)
@@ -582,12 +579,13 @@ class _MixtureMarginal:
 class FitResult:
     """Posterior approximation: hyper nodes, per-node Gaussians, summaries."""
 
-    def __init__(self, spec: ModelSpec, nodes: list[HyperNode],
-                 context: _ModelContext, hyper_diagnostics: dict):
+    def __init__(self, spec: ModelSpec, nodes: list[HyperNode], context: _ModelContext,
+                 axes: np.ndarray, hyper_diagnostics: dict):
         self.spec = spec
         self.nodes = nodes
         self.hyper_diagnostics = hyper_diagnostics
         self._ctx = context
+        self._axes = axes  # the hyper grid's HyperGrid.axes
         self.param_names = list(context.param_names)
         self.hyper_param_names = [
             {"log_rho": "rho", "log_sigma": "sigma", "theta": "zeta"}[h]
@@ -600,8 +598,11 @@ class FitResult:
         hyper = np.array([n.hyper for n in nodes])
         self._marginals = {name: _MixtureMarginal(self._weights, means[:, j], sds[:, j])
                            for j, name in enumerate(self.param_names)}
-        self._marginals.update((name, _GridMarginal(hyper[:, k], self._weights))
-                               for k, name in enumerate(self.hyper_param_names))
+        for k, name in enumerate(self.hyper_param_names):
+            # each node's weight goes to the axis value nearest its coordinate
+            nearest = np.abs(hyper[:, k, None] - axes[k]).argmin(axis=1)
+            pooled = np.array([self._weights[nearest == j].sum() for j in range(axes[k].size)])
+            self._marginals[name] = _GridMarginal(axes[k], pooled)
         self.summaries = {}
         for name, marg in self._marginals.items():
             q = marg.quantile([0.025, 0.5, 0.975])
@@ -679,35 +680,33 @@ class FitResult:
             log_marginal=np.array([n.laplace_log_marginal for n in self.nodes]),
             weight=np.array([n.weight for n in self.nodes]),
             mode=np.array([n.mode for n in self.nodes]),
+            axes=self._axes,
             grid_shape=np.array([self._ctx.grid.ny, self._ctx.grid.nx]),
         )
 
     @classmethod
     def load(cls, directory, pattern, covariates, roads, spec: ModelSpec) -> "FitResult":
         """Rebuild a saved fit; data and spec must match the original run.
-        An older file's ``zeta`` array is ignored, and so is its ``curvature``
-        array once its width is checked in place of ``grid_shape``."""
+        A file without the ``hyper``, ``axes`` or ``grid_shape`` array was
+        saved in an older format and is rejected."""
         ctx = _ModelContext(pattern, covariates, roads, spec)
         data = np.load(os.path.join(directory, "fit_nodes.npz"))
-        if "hyper" not in data.files:
-            raise ValueError("fit_nodes.npz has no 'hyper' array: it was saved in an "
+        missing = [key for key in ("hyper", "axes", "grid_shape") if key not in data.files]
+        if missing:
+            raise ValueError(f"fit_nodes.npz has no {missing[0]!r} array: it was saved in an "
                              "older format; fit the model again")
         # a fit saved with another padding or grid would otherwise
         # load and fail later, as a broadcast error in predict_intensity
         shape = [ctx.grid.ny, ctx.grid.nx]
-        widths = [("mode", ctx.n_field + ctx.n_coef)]
-        if "grid_shape" not in data.files:
-            widths.append(("curvature", len(ctx.scheme)))
-        elif data["grid_shape"].tolist() != shape:
+        if data["grid_shape"].tolist() != shape:
             raise ValueError(f"fit_nodes.npz 'grid_shape' is {data['grid_shape'].tolist()} but this "
                              f"data gives {shape}: the fit was saved on another grid; fit the model again")
-        for key, want in widths:
-            have = data[key].shape[1]
-            if have != want:
-                raise ValueError(
-                    f"fit_nodes.npz '{key}' has {have} entries per node but this spec "
-                    f"and data give {want}: the fit was saved with another "
-                    "padding or grid; fit the model again")
+        have, want = data["mode"].shape[1], ctx.n_field + ctx.n_coef
+        if have != want:
+            raise ValueError(
+                f"fit_nodes.npz 'mode' has {have} entries per node but this spec "
+                f"and data give {want}: the fit was saved with another "
+                "padding or grid; fit the model again")
         nodes = []
         for k in range(data["weight"].size):
             hyper, mode = data["hyper"][k], data["mode"][k]
@@ -715,7 +714,7 @@ class FitResult:
                 hyper=hyper, laplace_log_marginal=float(data["log_marginal"][k]),
                 weight=float(data["weight"][k]), mode=mode,
                 beta_cov=ctx.hessian_at(hyper, mode).coef_cov()))
-        return cls(spec, nodes, ctx, {"loaded": True})
+        return cls(spec, nodes, ctx, data["axes"], {"loaded": True})
 
 
 # ---------------------------------------------------------------------------
@@ -773,7 +772,7 @@ def fit(pattern: PointPattern, covariates: dict[str, RasterGrid],
     nodes = [replace(n, weight=n.weight / total) for n in nodes]
     # keeps fit.json's key order: fallback, n_evals, then any reason
     diagnostics = {"fallback": False, "n_evals": len(evaluated), **grid.diagnostics}
-    return FitResult(spec, nodes, ctx, diagnostics)
+    return FitResult(spec, nodes, ctx, grid.axes, diagnostics)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import math
 import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -83,8 +83,16 @@ class ScenarioConfig:
         if self.informative_mean is not None and self.theta_prior_preset != "informative":
             raise ValueError(f"informative_mean is read only by the 'informative' theta_prior_preset, "
                              f"got {self.informative_mean} with {self.theta_prior_preset!r}")
-        if not self.models or not set(self.models) <= set(STUDY_MODELS):
-            raise ValueError(f"models must be one or more of {STUDY_MODELS}, got {self.models!r}")
+        if not self.models or not set(self.models) <= set(STUDY_MODELS) \
+                or len(set(self.models)) < len(self.models):
+            raise ValueError(f"models must be one or more of {STUDY_MODELS}, each once, "
+                             f"got {self.models!r}")
+        if self.grid_n < 2:
+            raise ValueError(f"grid_n must be at least 2, got {self.grid_n}")
+        for name in ("domain_size", "road_spacing"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if not 0.0 < self.nominal_level < 1.0:
             raise ValueError(f"nominal_level must be in (0, 1), got {self.nominal_level}")
         if self.posterior_draws_per_fit < 1:
@@ -134,7 +142,6 @@ class ScenarioResult:
     expected_removal: tuple[float, ...]
     n_failed: int
     n_fits: int
-    draws: dict = dataclass_field(default_factory=dict)
 
     def aggregate(self) -> list[dict]:
         """Per (scenario, model, parameter) means, Table-1 style."""
@@ -319,11 +326,10 @@ def _one_replicate(args):
 
     rows: list[dict] = []
     score_rows: list[dict] = []
-    draws_store: dict = {}
     failures = 0
     n_fits = 0
     if len(pattern) < 10:
-        return rows, score_rows, draws_store, len(config.models), len(config.models)
+        return rows, score_rows, len(config.models), len(config.models)
 
     level = config.nominal_level
     n_draws = config.posterior_draws_per_fit
@@ -358,14 +364,13 @@ def _one_replicate(args):
             lo, hi = result.credible_interval(name, level)
             rows.append(_row(s_idx, zeta, model, param, rep, draws, t, lo, hi,
                              result.summaries[name]["mean"]))
-            draws_store[(s_idx, model, param, rep)] = draws
         if config.score_fits:
             scores = assess.score(result, n_samples=max(n_draws, 100), seed=rng)
             score_rows.append({
                 "scenario_index": s_idx, "scenario": zeta, "model": model,
                 "replicate": rep, "dic": scores["dic"], "waic": scores["waic"],
                 "lpml": scores["lpml"]})
-    return rows, score_rows, draws_store, failures, n_fits
+    return rows, score_rows, failures, n_fits
 
 
 def run_scenarios(config: ScenarioConfig,
@@ -401,13 +406,11 @@ def run_scenarios(config: ScenarioConfig,
 
     rows: list[dict] = []
     score_rows: list[dict] = []
-    draws: dict = {}
     n_failed = 0
     n_fits = 0
-    for r_rows, r_scores, r_draws, r_failed, r_fits in outcomes:
+    for r_rows, r_scores, r_failed, r_fits in outcomes:
         rows.extend(r_rows)
         score_rows.extend(r_scores)
-        draws.update(r_draws)
         n_failed += r_failed
         n_fits += r_fits
     if n_fits and n_failed > 0.2 * n_fits:
@@ -415,4 +418,4 @@ def run_scenarios(config: ScenarioConfig,
     rows.sort(key=lambda r: (r["scenario_index"], r["replicate"], r["model"], r["parameter"]))
     score_rows.sort(key=lambda r: (r["scenario_index"], r["replicate"], r["model"]))
     return ScenarioResult(rows, score_rows, config, scale, zetas, removal,
-                          n_failed, n_fits, draws)
+                          n_failed, n_fits)

@@ -449,6 +449,16 @@ class TestErrorHandling:
         assert "--informative-mean: informative_mean is read only by the 'informative'" \
             in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, message", [
+        (["--grid-n", "0"], "grid_n must be at least 2, got 0"),
+        (["--domain-size", "nan"], "domain_size must be positive and finite, got nan"),
+    ])
+    def test_simstudy_rejects_bad_geometry(self, tmp_path, capsys, flag, message):
+        code = main(["simstudy", "--self-test", *flag, "--out", str(tmp_path / "o")])
+        assert code == 1
+        assert f"{flag[0]}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("draws", ["50", "-5"])
     def test_fit_assess_draws_checked_before_fitting(self, world, thinned, tmp_path, capsys,
                                                      draws):

@@ -9,6 +9,7 @@ import pytest
 
 from lgcpthin import simstudy
 from lgcpthin.errors import FitError
+from lgcpthin.inference import FitResult
 from lgcpthin.simstudy import (
     TARGET_HEAVY_REMOVAL,
     ScenarioConfig,
@@ -25,8 +26,25 @@ FAST = dict(zeta_levels=(0.0, 16.0), replicates=1, grid_n=12, domain_size=90.0,
 
 
 @pytest.fixture(scope="module")
-def fast_run():
-    return run_scenarios(ScenarioConfig(seed=5, **FAST))
+def spied_fast_run():
+    """The fast study, run serially, and each draw_parameter call's name and
+    draws in call order."""
+    drawn = []
+    draw_parameter = FitResult.draw_parameter
+
+    def spy(self, name, rng, size):
+        draws = draw_parameter(self, name, rng, size)
+        drawn.append((name, draws))
+        return draws
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(FitResult, "draw_parameter", spy)
+        return run_scenarios(ScenarioConfig(seed=5, **FAST)), drawn
+
+
+@pytest.fixture(scope="module")
+def fast_run(spied_fast_run):
+    return spied_fast_run[0]
 
 
 class TestSyntheticAssets:
@@ -90,13 +108,15 @@ class TestRunScenarios:
         for r in res.rows:
             assert r["rmse"] >= abs(r["bias"]) - 1e-12
 
-    def test_bias_rmse_recomputation_oracle(self, fast_run):
-        res = fast_run
+    def test_bias_rmse_recomputation_oracle(self, spied_fast_run):
+        res, drawn = spied_fast_run
         truth = {"beta0": -4.25, "beta1": 0.82, "rho": 34.0,
                  "sigma": np.sqrt(0.7)}
-        for r in res.rows:
+        # rows sort by level, replicate, model and parameter: the order the draws were made in
+        assert len(drawn) == len(res.rows)
+        for r, (name, draws) in zip(res.rows, drawn):
+            assert name == {"beta1": "x1"}.get(r["parameter"], r["parameter"])
             t = truth.get(r["parameter"], r["scenario"])
-            draws = res.draws[(r["scenario_index"], r["model"], r["parameter"], r["replicate"])]
             assert r["bias"] == np.mean(draws - t)
             assert r["rmse"] == np.sqrt(np.mean((draws - t) ** 2))
             assert len(draws) == 100
@@ -221,6 +241,13 @@ class TestConfigValidation:
         for threads in (0, -3):
             with pytest.raises(ValueError, match="threads"):
                 ScenarioConfig(threads=threads)
+        for grid_n in (1, 0, -2):
+            with pytest.raises(ValueError, match=f"grid_n must be at least 2, got {grid_n}"):
+                ScenarioConfig(grid_n=grid_n)
+        for name in ("domain_size", "road_spacing"):
+            for value in (0.0, -1.0, float("inf"), float("nan")):
+                with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+                    ScenarioConfig(**{name: value})
 
     def test_rejects_informative_mean_with_default_preset(self):
         # the default preset fits ModelSpec.theta_prior, whatever the mean says
@@ -228,9 +255,10 @@ class TestConfigValidation:
             ScenarioConfig(informative_mean=2.0)
         assert ScenarioConfig(informative_mean=2.0, theta_prior_preset="informative")
 
-    @pytest.mark.parametrize("models", [(), ("VSE",), ("naive", "glm")])
+    @pytest.mark.parametrize("models", [(), ("VSE",), ("naive", "glm"), ("naive", "naive")])
     def test_rejects_unknown_models(self, models):
-        # any name but "vse" would fit the naive model under that name
+        # any name but "vse" would fit the naive model under that name, and a
+        # repeated name would fit its model twice per replicate
         with pytest.raises(ValueError, match=r"models must be one or more of \('naive', 'vse'\)"):
             ScenarioConfig(models=models)
 
