@@ -23,7 +23,7 @@ import scipy
 from lgcpthin import __version__, assess, geo
 from lgcpthin.errors import LgcpThinError, ParseError
 from lgcpthin.geo import Grid, RasterGrid
-from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
+from lgcpthin.grf import SAMPLE_EXTENSION_FACTOR, MaternParams, PcPriorSpec, sample_matern_field
 from lgcpthin.inference import FitResult, ModelSpec, NormalPrior, fit, predict_intensity
 from lgcpthin.pointprocess import ThinningConfig, make_log_intensity, simulate_lgcp, thin
 from lgcpthin.simstudy import THETA_PRIOR_PRESETS, ScenarioConfig, run_scenarios
@@ -387,10 +387,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta0", type=float, required=True)
     p.add_argument("--coef", type=float, action="append", required=True,
                    help="coefficient per covariate, in order (repeatable)")
-    p.add_argument("--rho", type=float, default=34.0)
-    p.add_argument("--sigma", type=float, default=0.8367,
+    p.add_argument("--rho", type=float, default=ScenarioConfig.true_rho)
+    p.add_argument("--sigma", type=float, default=ScenarioConfig.true_sigma,
                    help="field standard deviation; 0 disables the field")
-    p.add_argument("--extension", type=float, default=1.5)
+    p.add_argument("--extension", type=float, default=SAMPLE_EXTENSION_FACTOR)
     _add_common(p)
     p.set_defaults(func=cmd_simulate)
 

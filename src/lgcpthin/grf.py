@@ -27,6 +27,7 @@ from lgcpthin.cholesky import BandedCholesky
 from lgcpthin.geo import Grid
 
 NU = 1.0  # smoothness is fixed; the stencil below is specific to this value
+SAMPLE_EXTENSION_FACTOR = 1.5  # a sampled field's padding on every side, in multiples of rho
 
 
 @dataclass(frozen=True)
@@ -276,7 +277,7 @@ def extension_margin(grid: Grid, params: MaternParams, extension_factor: float) 
 
 
 def sample_matern_field(grid: Grid, params: MaternParams, seed,
-                        size: int = 1, extension_factor: float = 1.5) -> np.ndarray:
+                        size: int = 1, extension_factor: float = SAMPLE_EXTENSION_FACTOR) -> np.ndarray:
     """Sample the field on ``grid`` with boundary extension and cropping.
 
     The precision is built on a grid padded by ``extension_factor * rho`` on

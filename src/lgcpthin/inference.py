@@ -47,7 +47,7 @@ from lgcpthin.cholesky import BorderedPrecision
 from lgcpthin.errors import FitError, NotSpdError
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork, distances_to_roads
 from lgcpthin.grf import GmrfPrecision, MaternParams, PcPriorSpec, _LatticeOperators, extension_margin, pc_prior_logdensity
-from lgcpthin.pointprocess import IntegrationScheme, _cox_loglik
+from lgcpthin.pointprocess import IntegrationScheme, _cox_loglik, log_q
 
 __all__ = [
     "FitResult", "HyperNode", "ModelSpec", "NormalPrior", "fit", "hyper_grid",
@@ -218,8 +218,7 @@ class _ModelContext:
         """log q at the integration nodes and at the points, from the distances at each."""
         if not self.spec.use_vse or zeta == 0.0:
             return (np.zeros(len(self.scheme)), np.zeros(self.n_points))
-        return (-zeta * self.dist_nodes ** 2 / 2.0,
-                -zeta * self.dist_points ** 2 / 2.0)
+        return log_q(self.dist_nodes, zeta), log_q(self.dist_points, zeta)
 
     def eta(self, u: np.ndarray, offsets=(0.0, 0.0)) -> tuple[np.ndarray, np.ndarray]:
         """Linear predictor at nodes and points; u is a latent vector or (n, S) draws."""
@@ -695,6 +694,12 @@ class FitResult:
         if missing:
             raise ValueError(f"fit_nodes.npz has no {missing[0]!r} array: it was saved in an "
                              "older format; fit the model again")
+        # a spec of the other model would otherwise fail as an IndexError, or
+        # rebuild each node's Hessian without its thinning offset
+        names = spec.hyper_names()
+        if data["axes"].shape[0] != len(names) or data["hyper"].shape[-1] != len(names):
+            raise ValueError(f"fit_nodes.npz has {data['axes'].shape[0]} hyperparameters but this spec "
+                             f"has {len(names)} {names}: load the fit with the spec it was fitted with")
         # a fit saved with another padding or grid would otherwise
         # load and fail later, as a broadcast error in predict_intensity
         shape = [ctx.grid.ny, ctx.grid.nx]

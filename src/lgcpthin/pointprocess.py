@@ -75,6 +75,11 @@ class ThinningConfig:
             raise ValueError("zeta must be nonnegative and finite")
 
 
+def log_q(d, zeta):
+    """The thinning law: the simulator keeps by its exp (``q_probability``), VSE offsets by it."""
+    return -zeta * d ** 2 / 2.0
+
+
 def q_probability(distance, zeta):
     """Access probability exp(-zeta d^2 / 2); 1 at zero distance or zeta=0."""
     d = np.asarray(distance, dtype=float)
@@ -83,7 +88,7 @@ def q_probability(distance, zeta):
         raise ValueError("distance must be nonnegative and finite")
     if z < 0 or not np.isfinite(z):
         raise ValueError("zeta must be nonnegative and finite")
-    out = np.exp(-z * d * d / 2.0)
+    out = np.exp(log_q(d, z))
     return float(out) if np.ndim(distance) == 0 else out
 
 

@@ -30,7 +30,7 @@ from lgcpthin.errors import FitError, LgcpThinError
 from lgcpthin.geo import Grid, RasterGrid, RoadNetwork, distance_raster, pearson_corr, write_csv
 from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
 from lgcpthin.inference import ModelSpec, NormalPrior, fit
-from lgcpthin.pointprocess import ThinningConfig, make_log_intensity, simulate_lgcp, thin
+from lgcpthin.pointprocess import ThinningConfig, make_log_intensity, q_probability, simulate_lgcp, thin
 
 COVARIATE_DISTANCE_CORR = -0.4  # built correlation of the covariate with road distance
 TARGET_HEAVY_REMOVAL = 0.49     # fraction of points the heaviest thinning level removes
@@ -255,8 +255,7 @@ def expected_removal(zeta: float, assets: DomainAssets, config: ScenarioConfig) 
     """
     cov = assets.covariates[assets.covariate_name].values.ravel()
     lam = np.exp(config.true_beta0 + config.true_beta1 * cov)
-    q = np.exp(-zeta * assets.distance_values ** 2 / 2.0)
-    return float(1.0 - (lam @ q) / lam.sum())
+    return float(1.0 - (lam @ q_probability(assets.distance_values, zeta)) / lam.sum())
 
 
 def calibrate_zeta_scale(assets: DomainAssets, config: ScenarioConfig) -> float:
@@ -294,11 +293,6 @@ def _theta_prior_for(config: ScenarioConfig, zeta_level: float) -> NormalPrior:
     return NormalPrior(mean, config.informative_precision)
 
 
-def _truth(config: ScenarioConfig, zeta: float) -> dict[str, float]:
-    return {"beta0": config.true_beta0, "beta1": config.true_beta1,
-            "rho": config.true_rho, "sigma": config.true_sigma, "zeta": zeta}
-
-
 def _row(s_idx, zeta, model, param, rep, draws, truth, lo, hi, estimate) -> dict:
     """One result row: a parameter's draws and interval scored against the truth."""
     return {
@@ -314,7 +308,6 @@ def _row(s_idx, zeta, model, param, rep, draws, truth, lo, hi, estimate) -> dict
 def _one_replicate(args):
     (config, assets, s_idx, zeta, rep, seeds) = args
     rng = np.random.default_rng(seeds)
-    truth = _truth(config, zeta)
     params = MaternParams(sigma=config.true_sigma, rho=config.true_rho)
     field = sample_matern_field(assets.grid, params, rng)
     surface = make_log_intensity(
@@ -326,56 +319,55 @@ def _one_replicate(args):
 
     rows: list[dict] = []
     score_rows: list[dict] = []
-    failures = 0
-    n_fits = 0
-    if len(pattern) < 10:
-        return rows, score_rows, len(config.models), len(config.models)
-
-    level = config.nominal_level
+    failures: list[str] = []
     n_draws = config.posterior_draws_per_fit
+    # each parameter the naive model reports: its name in the fit and its true value
+    naive = {"beta0": ("beta0", config.true_beta0), "beta1": (assets.covariate_name, config.true_beta1),
+             "rho": ("rho", config.true_rho), "sigma": ("sigma", config.true_sigma)}
     for model in config.models:
-        use_vse = model == "vse"
-        spec = ModelSpec(
-            covariate_names=(assets.covariate_name,),
-            use_vse=use_vse,
-            pc_prior=config.pc_prior,
-            theta_prior=_theta_prior_for(config, zeta),
-        )
-        n_fits += 1
-        param_names = ["beta0", "beta1", "rho", "sigma"] + (["zeta"] if use_vse else [])
-        if config.self_test:
-            for param in param_names:
-                t = truth[param]
-                rows.append(_row(s_idx, zeta, model, param, rep,
-                                 np.full(n_draws, t), t, t, t, t))
+        table = naive if model == "naive" else {**naive, "zeta": ("zeta", zeta)}
+        fit_scores: list[dict] = []
+        try:  # a fit's rows are kept only once all of it, its score included, has succeeded
+            if len(pattern) < 10:
+                raise FitError(f"the pattern has {len(pattern)} points, fewer than 10")
+            if config.self_test:
+                fit_rows = [_row(s_idx, zeta, model, param, rep, np.full(n_draws, t), t, t, t, t)
+                            for param, (_, t) in table.items()]
+            else:
+                spec = ModelSpec(
+                    covariate_names=(assets.covariate_name,),
+                    use_vse=model == "vse",
+                    pc_prior=config.pc_prior,
+                    theta_prior=_theta_prior_for(config, zeta),
+                )
+                result = fit(pattern, assets.covariates, assets.roads, spec)
+                fit_rows = []
+                for param, (name, t) in table.items():
+                    draws = result.draw_parameter(name, rng, n_draws)
+                    lo, hi = result.credible_interval(name, config.nominal_level)
+                    fit_rows.append(_row(s_idx, zeta, model, param, rep, draws, t, lo, hi,
+                                         result.summaries[name]["mean"]))
+                if config.score_fits:
+                    scores = assess.score(result, n_samples=max(n_draws, 100), seed=rng)
+                    fit_scores.append({
+                        "scenario_index": s_idx, "scenario": zeta, "model": model,
+                        "replicate": rep, "dic": scores["dic"], "waic": scores["waic"],
+                        "lpml": scores["lpml"]})
+        except (FitError, ValueError) as exc:
+            failures.append(f"{model} fit at level index {s_idx}, replicate {rep}: {exc}")
             continue
-        try:
-            result = fit(pattern, assets.covariates, assets.roads, spec)
-        except (FitError, ValueError):
-            failures += 1
-            continue
-        summary_name = {
-            "beta0": "beta0", "beta1": assets.covariate_name,
-            "rho": "rho", "sigma": "sigma", "zeta": "zeta"}
-        for param in param_names:
-            name = summary_name[param]
-            t = truth[param]
-            draws = result.draw_parameter(name, rng, n_draws)
-            lo, hi = result.credible_interval(name, level)
-            rows.append(_row(s_idx, zeta, model, param, rep, draws, t, lo, hi,
-                             result.summaries[name]["mean"]))
-        if config.score_fits:
-            scores = assess.score(result, n_samples=max(n_draws, 100), seed=rng)
-            score_rows.append({
-                "scenario_index": s_idx, "scenario": zeta, "model": model,
-                "replicate": rep, "dic": scores["dic"], "waic": scores["waic"],
-                "lpml": scores["lpml"]})
-    return rows, score_rows, failures, n_fits
+        rows.extend(fit_rows)
+        score_rows.extend(fit_scores)
+    return rows, score_rows, failures
 
 
 def run_scenarios(config: ScenarioConfig,
                   assets: DomainAssets | None = None) -> ScenarioResult:
     """Run the full protocol; aborts when more than 20% of fits fail.
+
+    A fit fails when its pattern has fewer than 10 points, or when the fit,
+    its draws, intervals or score raise ``FitError`` or ``ValueError``; a
+    failed fit adds no row, and the abort names each failed fit and why.
 
     With ``config.threads > 1`` the replicates run in that many forked worker
     processes, all ended before this returns or raises; where fork is not
@@ -406,15 +398,14 @@ def run_scenarios(config: ScenarioConfig,
 
     rows: list[dict] = []
     score_rows: list[dict] = []
-    n_failed = 0
-    n_fits = 0
-    for r_rows, r_scores, r_failed, r_fits in outcomes:
+    failures: list[str] = []
+    for r_rows, r_scores, r_failures in outcomes:
         rows.extend(r_rows)
         score_rows.extend(r_scores)
-        n_failed += r_failed
-        n_fits += r_fits
-    if n_fits and n_failed > 0.2 * n_fits:
-        raise FitError(f"{n_failed}/{n_fits} fits failed; aborting the study")
+        failures.extend(r_failures)
+    n_failed, n_fits = len(failures), len(tasks) * len(config.models)
+    if n_failed > 0.2 * n_fits:
+        raise FitError(f"{n_failed}/{n_fits} fits failed; aborting the study: " + "; ".join(failures))
     rows.sort(key=lambda r: (r["scenario_index"], r["replicate"], r["model"], r["parameter"]))
     score_rows.sort(key=lambda r: (r["scenario_index"], r["replicate"], r["model"]))
     return ScenarioResult(rows, score_rows, config, scale, zetas, removal,

@@ -14,6 +14,7 @@ from lgcpthin import cli, geo
 from lgcpthin.cli import _model_spec, _parse_args, build_parser, main, read_config
 from lgcpthin.errors import ParseError
 from lgcpthin.geo import Grid, RasterGrid, RoadNetwork
+from lgcpthin.grf import SAMPLE_EXTENSION_FACTOR
 from lgcpthin.inference import ModelSpec
 from lgcpthin.simstudy import ScenarioConfig
 
@@ -261,6 +262,12 @@ class TestDefaults:
         args = build_parser().parse_args(["fit", "--points", "p", "--covariate", "x1=a",
                                           "--out", "o"])
         assert _model_spec(args, ["x1"]) == ModelSpec(("x1",))
+
+    def test_simulate_draws_the_study_field(self):
+        args = build_parser().parse_args(["simulate", "--covariate", "x1=a", "--beta0", "-4.25",
+                                          "--coef", "0.82", "--out", "o"])
+        assert (args.rho, args.sigma) == (ScenarioConfig.true_rho, ScenarioConfig.true_sigma)
+        assert args.extension == SAMPLE_EXTENSION_FACTOR
 
     def test_simstudy_builds_the_default_config(self, tmp_path, monkeypatch):
         class Built(Exception):

@@ -29,7 +29,7 @@ from lgcpthin.inference import (
     predict_intensity,
     summarize_log_intensity_draws,
 )
-from lgcpthin.pointprocess import loglik_lgcp, make_log_intensity, simulate_lgcp
+from lgcpthin.pointprocess import loglik_lgcp, make_log_intensity, q_probability, simulate_lgcp
 from lgcpthin.simstudy import ScenarioConfig, synthetic_assets
 import mcmc_oracle
 from mcmc_oracle import ChainConfig, gelman_rubin, mcmc_fit
@@ -146,6 +146,17 @@ class TestLikelihood:
         u = 0.3 * np.random.default_rng(19).standard_normal(ctx.n_field + ctx.n_coef)
         eta_n, eta_p = ctx.eta(u, offsets)
         assert ctx.loglik(u, offsets) == loglik_lgcp(pattern, eta_n, eta_p, ctx.scheme)
+
+
+    def test_offset_is_log_of_keep_probability(self, unit_roads):
+        # the simulator thins by the law that the VSE model offsets by
+        pattern, covs, _ = unit_square_data(seed=5, n=8)
+        spec = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
+        ctx = _ModelContext(pattern, covs, unit_roads, spec)
+        for zeta in (0.3, 2.0, 16.0):
+            off_n, off_p = ctx.offsets(zeta)
+            assert np.array_equal(q_probability(ctx.dist_points, zeta), np.exp(off_p))
+            assert np.array_equal(q_probability(ctx.dist_nodes, zeta), np.exp(off_n))
 
 
 class TestBorderedPrecision:
@@ -693,6 +704,22 @@ class TestFit:
         wide = ModelSpec(covariate_names=("x1",), pc_prior=PcPriorSpec(rho0=0.12))
         fit(pattern, covs, None, wide).save(tmp_path)
         with pytest.raises(ValueError, match="'mode' has 678 entries .* give 486"):
+            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+
+    def test_load_rejects_naive_fit_with_vse_spec(self, small_fit, unit_roads, tmp_path):
+        result, pattern, covs = small_fit
+        result.save(tmp_path)
+        vse = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
+        with pytest.raises(ValueError, match=r"has 2 hyperparameters but this spec has 3 "
+                                              r"\('log_rho', 'log_sigma', 'theta'\)"):
+            FitResult.load(tmp_path, pattern, covs, unit_roads, vse)
+
+    def test_load_rejects_vse_fit_with_naive_spec(self, small_vse_fit, naive_spec, tmp_path):
+        # loading it would rebuild each node's Hessian without the thinning offset
+        pattern, covs, _ = unit_square_data(seed=5, n=8)
+        small_vse_fit.save(tmp_path)
+        with pytest.raises(ValueError, match=r"has 3 hyperparameters but this spec has 2 "
+                                              r"\('log_rho', 'log_sigma'\)"):
             FitResult.load(tmp_path, pattern, covs, None, naive_spec)
 
     def test_load_rejects_other_cell_count(self, small_fit, naive_spec, tmp_path):
