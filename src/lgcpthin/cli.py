@@ -295,17 +295,7 @@ def cmd_fit(args) -> int:
 
 def cmd_predict(args) -> int:
     run = _Run("predict", args)
-    with open(os.path.join(args.fit, "manifest.json")) as fh:
-        fit_manifest = json.load(fh)
-    opts = fit_manifest["options"]
-    covs = _load_covariates(args.covariate or opts["covariate"])
-    grid = covs[next(iter(covs))].grid
-    pattern = geo.read_points_csv(args.points or opts["points"], domain=grid.bbox)
-    roads_path = args.roads or opts.get("roads")
-    roads = geo.read_roads(roads_path) if roads_path else None
-    ns = argparse.Namespace(**opts)
-    spec = _model_spec(ns, covs.keys())
-    result = FitResult.load(args.fit, pattern, covs, roads, spec)
+    result = FitResult.load(args.fit)
     median, sd = predict_intensity(result, draws=args.draws, seed=args.seed)
     geo.write_esri_ascii(median, run.path("log_intensity_median.asc"))
     geo.write_esri_ascii(sd, run.path("log_intensity_sd.asc"))
@@ -408,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["naive", "vse"], default="naive")
     p.add_argument("--assess-draws", type=int, default=200,
                    help="posterior draws for DIC/WAIC/LPML; 0 skips scoring")
-    # priors; 'predict' takes them, and the model, from the fit's manifest
+    # priors; 'predict' reads them, the model and the inputs from the fit directory
     p.add_argument("--pc-rho0", type=float, default=PcPriorSpec.rho0)
     p.add_argument("--pc-alpha-rho", type=float, default=PcPriorSpec.alpha_rho)
     p.add_argument("--pc-sigma0", type=float, default=PcPriorSpec.sigma0)
@@ -422,9 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("predict", help="posterior intensity rasters from a saved fit")
     p.add_argument("--fit", required=True, help="directory written by 'fit'")
-    p.add_argument("--points", default=None, help="override the fit's inputs")
-    p.add_argument("--covariate", action="append", default=None)
-    p.add_argument("--roads", default=None)
     p.add_argument("--draws", type=int, default=1000)
     _add_common(p)
     p.set_defaults(func=cmd_predict)

@@ -35,7 +35,7 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import ClassVar
 
 import numpy as np
@@ -147,8 +147,9 @@ _FALLBACK_SPREAD = 0.75  # hyper grid spread per dimension when the mode's Hessi
 # ---------------------------------------------------------------------------
 
 class _ModelContext:
-    """Fixed design of one fit: grids, priors, and the field indices, design
-    rows and distances of the integration nodes and of the points, from one
+    """Fixed design of one fit: the pattern, the spec's covariates and the
+    roads it is built from, grids, priors, and the field indices, design rows
+    and distances of the integration nodes and of the points, from one
     lookup.  Node terms enter the field block summed per field node."""
 
     def __init__(self, pattern: PointPattern, covariates: dict[str, RasterGrid],
@@ -171,6 +172,9 @@ class _ModelContext:
             if n_bad:
                 raise ValueError(f"covariate {name!r} has {n_bad} non-finite cells")
         self.spec = spec
+        self.pattern = pattern
+        self.covariates = {name: covariates[name] for name in spec.covariate_names}
+        self.roads = roads
         self.grid = grid
         self.scheme = IntegrationScheme.from_grid(grid)
         self.n_points = len(pattern)
@@ -182,18 +186,15 @@ class _ModelContext:
         self.n_field = self.ext_grid.n_cells
         self.ops = _LatticeOperators(self.ext_grid)
 
-        self.node_field, self.x_nodes, self.dist_nodes = self._sites(
-            self.scheme.nodes, covariates, roads)
-        self.point_field, self.x_points, self.dist_points = self._sites(
-            pattern.points, covariates, roads)
+        self.node_field, self.x_nodes, self.dist_nodes = self._sites(self.scheme.nodes)
+        self.point_field, self.x_points, self.dist_points = self._sites(pattern.points)
         self.n_coef = self.x_nodes.shape[1]
         self._field_pull = np.bincount(self.point_field, minlength=self.n_field).astype(float)
         self._coef_pull = self.x_points.sum(axis=0)
 
         self.param_names = ["beta0"] + list(spec.covariate_names)
 
-    def _sites(self, locations: np.ndarray, covariates: dict[str, RasterGrid],
-               roads: RoadNetwork | None):
+    def _sites(self, locations: np.ndarray):
         """Extended-grid field index, design row and exact road distance (VSE
         only) of each location, from its domain cell's field node and values.
 
@@ -204,8 +205,8 @@ class _ModelContext:
         i, j = self.grid.cell_index(locations)
         field_idx = (j + self.margin) * self.ext_grid.nx + (i + self.margin)
         design = np.column_stack([np.ones(len(locations))] + [
-            covariates[name].value_at(locations) for name in self.spec.covariate_names])
-        dist = distances_to_roads(locations, roads) if self.spec.use_vse else None
+            raster.value_at(locations) for raster in self.covariates.values()])
+        dist = distances_to_roads(locations, self.roads) if self.spec.use_vse else None
         return field_idx, design, dist
 
     def _to_field(self, values: np.ndarray) -> np.ndarray:
@@ -579,7 +580,7 @@ class FitResult:
     """Posterior approximation: hyper nodes, per-node Gaussians, summaries."""
 
     def __init__(self, spec: ModelSpec, nodes: list[HyperNode], context: _ModelContext,
-                 axes: np.ndarray, hyper_diagnostics: dict):
+                 axes: np.ndarray, hyper_diagnostics: dict, scores: dict | None = None):
         self.spec = spec
         self.nodes = nodes
         self.hyper_diagnostics = hyper_diagnostics
@@ -607,7 +608,7 @@ class FitResult:
             q = marg.quantile([0.025, 0.5, 0.975])
             self.summaries[name] = {"mean": marg.mean(), "sd": marg.sd(), "q025": float(q[0]),
                                     "q50": float(q[1]), "q975": float(q[2])}
-        self.scores: dict | None = None
+        self.scores = scores  # assess.score's, once the fit is scored
 
     # -- posterior access ----------------------------------------------------
 
@@ -661,8 +662,10 @@ class FitResult:
     # -- persistence ---------------------------------------------------------
 
     def save(self, directory) -> None:
-        """Write the JSON summary plus the node arrays needed to rebuild."""
+        """Write the JSON summary and spec, plus the node arrays and the fit's
+        inputs (points, covariates and, for VSE, roads) that ``load`` reads."""
         os.makedirs(directory, exist_ok=True)
+        ctx = self._ctx
         doc = {
             "model": "vse" if self.spec.use_vse else "naive",
             "parameters": self.summary_table(),
@@ -670,9 +673,13 @@ class FitResult:
                                   if isinstance(v, (str, int, float, bool))},
             "scores": self.scores,
             "n_nodes": len(self.nodes),
+            "spec": asdict(self.spec),
         }
         with open(os.path.join(directory, "fit.json"), "w") as fh:
             json.dump(doc, fh, indent=2)
+        rasters = ctx.covariates.values()  # in the spec's covariate order
+        lines = ctx.roads.polylines if self.spec.use_vse else ()
+        roads = {"road_vertices": np.vstack(lines), "road_counts": [len(v) for v in lines]} if lines else {}
         np.savez_compressed(
             os.path.join(directory, "fit_nodes.npz"),
             hyper=np.array([n.hyper for n in self.nodes]),
@@ -680,46 +687,50 @@ class FitResult:
             weight=np.array([n.weight for n in self.nodes]),
             mode=np.array([n.mode for n in self.nodes]),
             axes=self._axes,
-            grid_shape=np.array([self._ctx.grid.ny, self._ctx.grid.nx]),
+            points=ctx.pattern.points,
+            domain=np.array(ctx.pattern.domain),
+            covariate_origin=np.array([[r.grid.x0, r.grid.y0, r.grid.cell_size] for r in rasters]),
+            covariate_values=np.array([r.values for r in rasters]),
+            **roads,
         )
 
     @classmethod
-    def load(cls, directory, pattern, covariates, roads, spec: ModelSpec) -> "FitResult":
-        """Rebuild a saved fit; data and spec must match the original run.
-        A file without the ``hyper``, ``axes`` or ``grid_shape`` array was
-        saved in an older format and is rejected."""
-        ctx = _ModelContext(pattern, covariates, roads, spec)
-        data = np.load(os.path.join(directory, "fit_nodes.npz"))
-        missing = [key for key in ("hyper", "axes", "grid_shape") if key not in data.files]
+    def load(cls, directory) -> "FitResult":
+        """Rebuild a saved fit from its directory alone, through the same
+        constructors and checks as a fresh fit.  A file without a key or array
+        read here was saved in an older format and is rejected."""
+        with open(os.path.join(directory, "fit.json")) as fh:
+            doc = json.load(fh)
+        with np.load(os.path.join(directory, "fit_nodes.npz")) as npz:
+            data = dict(npz)
+        missing = ["fit.json has no 'spec' key"] if "spec" not in doc else []
+        missing += [f"fit_nodes.npz has no {key!r} array" for key in (
+            "hyper", "axes", "points", "domain", "covariate_origin", "covariate_values") if key not in data]
         if missing:
-            raise ValueError(f"fit_nodes.npz has no {missing[0]!r} array: it was saved in an "
-                             "older format; fit the model again")
-        # a spec of the other model would otherwise fail as an IndexError, or
-        # rebuild each node's Hessian without its thinning offset
-        names = spec.hyper_names()
-        if data["axes"].shape[0] != len(names) or data["hyper"].shape[-1] != len(names):
-            raise ValueError(f"fit_nodes.npz has {data['axes'].shape[0]} hyperparameters but this spec "
-                             f"has {len(names)} {names}: load the fit with the spec it was fitted with")
-        # a fit saved with another padding or grid would otherwise
-        # load and fail later, as a broadcast error in predict_intensity
-        shape = [ctx.grid.ny, ctx.grid.nx]
-        if data["grid_shape"].tolist() != shape:
-            raise ValueError(f"fit_nodes.npz 'grid_shape' is {data['grid_shape'].tolist()} but this "
-                             f"data gives {shape}: the fit was saved on another grid; fit the model again")
+            raise ValueError(f"{missing[0]}: it was saved in an older format; fit the model again")
+        saved = doc["spec"]
+        spec = ModelSpec(**{**saved, "covariate_names": tuple(saved["covariate_names"]),
+                            "pc_prior": PcPriorSpec(**saved["pc_prior"]),
+                            "theta_prior": NormalPrior(**saved["theta_prior"])})
+        pattern = PointPattern(data["points"], tuple(data["domain"].tolist()))
+        covariates = {name: RasterGrid(Grid(*origin.tolist(), values.shape[1], values.shape[0]), values)
+                      for name, origin, values in zip(spec.covariate_names, data["covariate_origin"],
+                                                      data["covariate_values"])}
+        roads = None  # saved for VSE only; a VSE fit without them fails as a fresh fit does
+        if "road_counts" in data:
+            roads = RoadNetwork(tuple(np.split(data["road_vertices"], np.cumsum(data["road_counts"])[:-1])))
+        ctx = _ModelContext(pattern, covariates, roads, spec)
+        # a fit saved under another _EXTENSION_FACTOR would fail later, in a broadcast
         have, want = data["mode"].shape[1], ctx.n_field + ctx.n_coef
         if have != want:
             raise ValueError(
-                f"fit_nodes.npz 'mode' has {have} entries per node but this spec "
-                f"and data give {want}: the fit was saved with another "
-                "padding or grid; fit the model again")
-        nodes = []
-        for k in range(data["weight"].size):
-            hyper, mode = data["hyper"][k], data["mode"][k]
-            nodes.append(HyperNode(
-                hyper=hyper, laplace_log_marginal=float(data["log_marginal"][k]),
-                weight=float(data["weight"][k]), mode=mode,
-                beta_cov=ctx.hessian_at(hyper, mode).coef_cov()))
-        return cls(spec, nodes, ctx, data["axes"], {"loaded": True})
+                f"fit_nodes.npz 'mode' has {have} entries per node but its spec and inputs "
+                f"give {want}: the fit was saved with another padding; fit the model again")
+        nodes = [HyperNode(hyper=hyper, laplace_log_marginal=float(lm), weight=float(w), mode=mode,
+                           beta_cov=ctx.hessian_at(hyper, mode).coef_cov())
+                 for hyper, lm, w, mode in zip(data["hyper"], data["log_marginal"],
+                                               data["weight"], data["mode"])]
+        return cls(spec, nodes, ctx, data["axes"], doc["hyper_diagnostics"], doc["scores"])
 
 
 # ---------------------------------------------------------------------------

@@ -285,11 +285,10 @@ class TestEntryPointsFactorOnOneThread:
         assess.score(vse_fit, n_samples=100, seed=1)
         self._check(factor_counts, caller_counts)
 
-    def test_load(self, unit_data, vse_fit, tmp_path, caller_counts, factor_counts):
-        pattern, cov, roads = unit_data
+    def test_load(self, vse_fit, tmp_path, caller_counts, factor_counts):
         vse_fit.save(tmp_path)
         factor_counts.clear()
-        FitResult.load(tmp_path, pattern, cov, roads, _spec(True))
+        FitResult.load(tmp_path)
         self._check(factor_counts, caller_counts)
 
     def test_mcmc_fit(self, unit_data, caller_counts, factor_counts):

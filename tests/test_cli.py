@@ -153,9 +153,29 @@ class TestFitPredictReport:
         assert med.values.shape == (10, 10)
         assert np.all(sd.values >= 0)
 
-    @pytest.mark.parametrize("flag", [["--model", "vse"], ["--zeta-fixed", "3"], ["--pc-rho0", "9"]])
+    def test_predict_needs_only_the_fit_directory(self, world, thinned, fit_dirs, tmp_path):
+        # the fit's input files are gone: predict reads its model and inputs
+        # from the fit directory, and draws what it draws from the original
+        inputs = {name: tmp_path / name for name in ("points.csv", "x1.asc", "roads.geojson")}
+        for name, source in (("points.csv", thinned / "thinned.csv"), ("x1.asc", world["cov"]),
+                             ("roads.geojson", world["roads"])):
+            inputs[name].write_bytes(Path(source).read_bytes())
+        assert main(["fit", "--points", str(inputs["points.csv"]),
+                     "--covariate", f"x1={inputs['x1.asc']}", "--roads", str(inputs["roads.geojson"]),
+                     "--model", "vse", "--pc-rho0", "2.0", "--assess-draws", "0",
+                     "--out", str(tmp_path / "fit")]) == 0
+        for path in inputs.values():
+            path.unlink()
+        for fit_dir, out in ((tmp_path / "fit", tmp_path / "pred"), (fit_dirs["vse"], tmp_path / "orig")):
+            assert main(["predict", "--fit", str(fit_dir), "--draws", "100", "--seed", "2",
+                         "--out", str(out)]) == 0
+        for name in ("log_intensity_median.asc", "log_intensity_sd.asc"):
+            assert (tmp_path / "pred" / name).read_bytes() == (tmp_path / "orig" / name).read_bytes()
+
+    @pytest.mark.parametrize("flag", [["--model", "vse"], ["--zeta-fixed", "3"], ["--pc-rho0", "9"],
+                                      ["--points", "p.csv"], ["--roads", "r"]])
     def test_predict_rejects_model_and_prior_flags(self, tmp_path, flag):
-        # predict takes its model and priors from the fit's manifest
+        # predict takes its model, priors and inputs from the fit directory
         with pytest.raises(SystemExit) as exc:
             main(["predict", "--fit", str(tmp_path), *flag, "--out", str(tmp_path / "o")])
         assert exc.value.code == 2
@@ -348,30 +368,30 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("text, key, want", [
         ('roads = "road#1.geojson"\n', "roads", "road#1.geojson"),
-        ('points = "a, b.csv"\n', "points", "a, b.csv"),
+        ('roads = "a, b.csv"\n', "roads", "a, b.csv"),
     ], ids=["hash", "comma"])
     def test_quoted_value_is_one_value_verbatim(self, tmp_path, text, key, want):
         # quotes keep a '#' from starting a comment and a ',' from making a list
         cfg = tmp_path / "quoted.cfg"
         cfg.write_text(text)
         assert read_config(cfg) == {key: want}
-        args = _parse_args(build_parser(), ["predict", "--fit", "f", "--config", str(cfg),
-                                            "--out", "o"])
+        args = _parse_args(build_parser(), ["fit", "--points", "p", "--covariate", "c",
+                                            "--config", str(cfg), "--out", "o"])
         assert getattr(args, key) == want
 
     def test_values_take_their_option_type(self, tmp_path):
         # as the same values given as flags would: a number-like path stays a string
         cfg = tmp_path / "types.cfg"
-        predict = ["predict", "--fit", "f", "--config", str(cfg), "--out", "o"]
+        fit = ["fit", "--points", "p", "--covariate", "c", "--config", str(cfg), "--out", "o"]
+        explore = ["explore", "--points", "p", "--roads", "r", "--config", str(cfg), "--out", "o"]
         cfg.write_text("roads = 2019\ncovariate = x1=a.asc, x2=b.asc\n")
-        args = _parse_args(build_parser(), predict)
-        assert args.roads == "2019"
-        assert args.covariate == ["x1=a.asc", "x2=b.asc"]
-        cfg.write_text("roads = 007\npoints = 1.50\n")
-        args = _parse_args(build_parser(), predict)
-        assert (args.roads, args.points) == ("007", "1.50")
+        assert _parse_args(build_parser(), fit).roads == "2019"
+        assert _parse_args(build_parser(), explore).covariate == ["x1=a.asc", "x2=b.asc"]
+        cfg.write_text("roads = 007\ncovariate = 1.50\n")
+        args = _parse_args(build_parser(), fit), _parse_args(build_parser(), explore)
+        assert (args[0].roads, args[1].covariate) == ("007", ["1.50"])
         cfg.write_text("roads = TRUE\n")
-        assert _parse_args(build_parser(), predict).roads == "TRUE"
+        assert _parse_args(build_parser(), fit).roads == "TRUE"
         cfg.write_text("domain_size = 90\nzeta_levels = 0, 16\nself_test = true\n")
         args = _parse_args(build_parser(), ["simstudy", "--config", str(cfg), "--out", "o"])
         assert [type(v) for v in (args.domain_size, *args.zeta_levels)] == [float] * 3

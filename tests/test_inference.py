@@ -1,5 +1,6 @@
 """Fitting-machinery tests: gradients, Laplace pieces, hyper grid, MCMC."""
 
+import json
 import math
 import tracemalloc
 import warnings
@@ -12,7 +13,7 @@ from scipy.optimize import brentq
 from scipy.special import ndtr
 from scipy.stats import norm
 
-from lgcpthin import inference
+from lgcpthin import assess, inference
 from lgcpthin.cholesky import BandedCholesky, BorderedPrecision, _one_blas_thread
 from lgcpthin.geo import Grid, PointPattern, RasterGrid, RoadNetwork
 from lgcpthin.grf import MaternParams, PcPriorSpec, sample_matern_field
@@ -66,6 +67,13 @@ def naive_spec():
 def small_fit(naive_spec):
     pattern, covs, _ = unit_square_data(seed=3)
     return fit(pattern, covs, None, naive_spec), pattern, covs
+
+
+@pytest.fixture(scope="module")
+def fixed_zeta_fit(unit_roads):
+    pattern, covs, _ = unit_square_data(seed=3)
+    spec = ModelSpec(covariate_names=("x1",), use_vse=True, zeta_fixed=2.0, pc_prior=UNIT_PC)
+    return fit(pattern, covs, unit_roads, spec)
 
 
 class TestGradient:
@@ -679,15 +687,53 @@ class TestFit:
         assert result.summaries["beta0"]["mean"] == pytest.approx(mean, rel=1e-12)
         assert result.summaries["beta0"]["sd"] == pytest.approx(math.sqrt(var), rel=1e-12)
 
-    def test_save_load_roundtrip(self, small_fit, naive_spec, tmp_path):
-        result, pattern, covs = small_fit
+    def test_save_load_roundtrip(self, small_fit, tmp_path):
+        result, _, _ = small_fit
         result.save(tmp_path)
-        back = FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+        back = FitResult.load(tmp_path)
         assert back.summaries == result.summaries
 
-    def test_load_rejects_old_node_format(self, small_fit, naive_spec, tmp_path):
-        # fits saved with separate log_rho/log_sigma/theta arrays do not load
+    @pytest.mark.parametrize("which", ["small_fit", "small_vse_fit", "fixed_zeta_fit"],
+                             ids=["naive", "vse", "zeta-fixed"])
+    def test_roundtrip_is_bitwise(self, request, which, tmp_path, monkeypatch):
+        # the loaded fit rebuilds its spec and inputs from the directory alone
+        result = request.getfixturevalue(which)
+        result = result[0] if which == "small_fit" else result
+        monkeypatch.setattr(result, "scores", result.scores)  # the fixture is shared
+        result.save(tmp_path)
+        back = FitResult.load(tmp_path)
+        assert back.spec == result.spec
+        assert back.summaries == result.summaries
+        assert back.hyper_diagnostics == result.hyper_diagnostics
+        for mine, theirs in zip(predict_intensity(back, draws=200, seed=4),
+                                predict_intensity(result, draws=200, seed=4)):
+            assert np.array_equal(mine.values, theirs.values)
+        assert assess.score(back, seed=2) == assess.score(result, seed=2)
+
+    def test_resave_writes_identical_fit_json(self, small_fit, tmp_path, monkeypatch):
+        # scores and hyper diagnostics survive a round trip
+        result, _, _ = small_fit
+        monkeypatch.setattr(result, "scores", result.scores)  # the fixture is shared
+        assess.score(result, seed=1)
+        result.save(tmp_path / "a")
+        FitResult.load(tmp_path / "a").save(tmp_path / "b")
+        assert (tmp_path / "b" / "fit.json").read_bytes() == (tmp_path / "a" / "fit.json").read_bytes()
+
+    def test_load_takes_no_spec_or_data(self, small_fit, unit_roads, tmp_path):
+        # a naive fit can no longer be loaded under a VSE spec with other
+        # inputs: the spec and the inputs come from the fit directory
         result, pattern, covs = small_fit
+        result.save(tmp_path)
+        vse = ModelSpec(covariate_names=("x1",), use_vse=True, zeta_fixed=2.0, pc_prior=UNIT_PC)
+        with pytest.raises(TypeError):
+            FitResult.load(tmp_path, pattern, covs, unit_roads, vse)
+        back = FitResult.load(tmp_path)
+        assert not back.spec.use_vse
+        assert back.summaries["x1"]["sd"] == result.summaries["x1"]["sd"]
+
+    def test_load_rejects_old_node_format(self, small_fit, tmp_path):
+        # fits saved with separate log_rho/log_sigma/theta arrays do not load
+        result, _, _ = small_fit
         result.save(tmp_path)
         path = tmp_path / "fit_nodes.npz"
         data = dict(np.load(path))
@@ -696,64 +742,49 @@ class TestFit:
         old["theta"] = np.full(len(result.nodes), np.nan)
         np.savez_compressed(path, **old)
         with pytest.raises(ValueError, match="older format"):
-            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+            FitResult.load(tmp_path)
 
-    def test_load_rejects_other_extension(self, naive_spec, tmp_path):
-        # a longer prior range pads wider, so saves a longer latent vector per node
-        pattern, covs, _ = unit_square_data(seed=3)
-        wide = ModelSpec(covariate_names=("x1",), pc_prior=PcPriorSpec(rho0=0.12))
-        fit(pattern, covs, None, wide).save(tmp_path)
-        with pytest.raises(ValueError, match="'mode' has 678 entries .* give 486"):
-            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
-
-    def test_load_rejects_naive_fit_with_vse_spec(self, small_fit, unit_roads, tmp_path):
-        result, pattern, covs = small_fit
+    def test_load_rejects_other_extension(self, small_fit, tmp_path, monkeypatch):
+        # wider padding gives a longer latent vector per node than was saved
+        result, _, _ = small_fit
         result.save(tmp_path)
-        vse = ModelSpec(covariate_names=("x1",), use_vse=True, pc_prior=UNIT_PC)
-        with pytest.raises(ValueError, match=r"has 2 hyperparameters but this spec has 3 "
-                                              r"\('log_rho', 'log_sigma', 'theta'\)"):
-            FitResult.load(tmp_path, pattern, covs, unit_roads, vse)
-
-    def test_load_rejects_vse_fit_with_naive_spec(self, small_vse_fit, naive_spec, tmp_path):
-        # loading it would rebuild each node's Hessian without the thinning offset
-        pattern, covs, _ = unit_square_data(seed=5, n=8)
-        small_vse_fit.save(tmp_path)
-        with pytest.raises(ValueError, match=r"has 3 hyperparameters but this spec has 2 "
-                                              r"\('log_rho', 'log_sigma'\)"):
-            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
-
-    def test_load_rejects_other_cell_count(self, small_fit, naive_spec, tmp_path):
-        result, pattern, covs = small_fit
-        result.save(tmp_path)
-        path = tmp_path / "fit_nodes.npz"
-        data = dict(np.load(path))
-        data["grid_shape"] = np.array([12, 11])
-        np.savez_compressed(path, **data)
-        with pytest.raises(ValueError, match=r"'grid_shape' is \[12, 11\] .* gives \[12, 12\]"):
-            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+        monkeypatch.setattr(inference, "_EXTENSION_FACTOR", 1.5)
+        with pytest.raises(ValueError, match="'mode' has 486 entries .* give 678"):
+            FitResult.load(tmp_path)
 
     @pytest.mark.parametrize("missing, older", [
         ("hyper", {}),
         # saved before each node's curvature was rebuilt from its mode
-        ("grid_shape", {"curvature": np.ones((3, 144))}),
+        ("axes", {"curvature": np.ones((3, 144))}),
         # saved before the grid's axes were stored
         ("axes", {}),
-    ], ids=["no-hyper", "curvature", "no-axes"])
-    def test_load_rejects_older_layouts(self, small_fit, naive_spec, tmp_path, missing, older):
-        result, pattern, covs = small_fit
+        # saved before the fit's inputs were stored
+        ("points", {}),
+    ], ids=["no-hyper", "curvature", "no-axes", "no-points"])
+    def test_load_rejects_older_layouts(self, small_fit, tmp_path, missing, older):
+        result, _, _ = small_fit
         result.save(tmp_path)
         path = tmp_path / "fit_nodes.npz"
         data = dict(np.load(path))
         del data[missing]
         np.savez_compressed(path, **data, **older)
         with pytest.raises(ValueError, match=f"no '{missing}' array: it was saved in an older format"):
-            FitResult.load(tmp_path, pattern, covs, None, naive_spec)
+            FitResult.load(tmp_path)
 
-    def test_fixed_zeta_holds_at_every_node(self, unit_roads):
-        pattern, covs, _ = unit_square_data(seed=3)
-        spec = ModelSpec(covariate_names=("x1",), use_vse=True, zeta_fixed=2.0, pc_prior=UNIT_PC)
-        assert spec.hyper_names() == ("log_rho", "log_sigma")
-        result = fit(pattern, covs, unit_roads, spec)
+    def test_load_rejects_fit_json_without_spec(self, small_fit, tmp_path):
+        # a directory saved before the spec was stored names the missing key
+        result, _, _ = small_fit
+        result.save(tmp_path)
+        path = tmp_path / "fit.json"
+        doc = json.loads(path.read_text())
+        del doc["spec"]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match="fit.json has no 'spec' key: it was saved in an older format"):
+            FitResult.load(tmp_path)
+
+    def test_fixed_zeta_holds_at_every_node(self, fixed_zeta_fit):
+        result = fixed_zeta_fit
+        assert result.spec.hyper_names() == ("log_rho", "log_sigma")
         assert all(result._ctx.zeta_of(node.hyper) == 2.0 for node in result.nodes)
         assert all(node.hyper.shape == (2,) for node in result.nodes)
         assert sum(node.weight for node in result.nodes) == pytest.approx(1.0)
